@@ -69,6 +69,12 @@ def _load_matrix(args) -> np.ndarray:
     return build_matrix(points, metric=args.metric)
 
 
+def _require_at_least_one(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
 def _worker_pool_size() -> int:
     try:
         return max(1, int(os.environ.get("MSC_THREADS", "1")))
@@ -104,6 +110,7 @@ def _quality(result, algorithm: str) -> float:
 
 
 def cmd_cluster(args) -> int:
+    _require_at_least_one(restarts=args.restarts, max_iter=args.max_iter)
     matrix = _load_matrix(args)
     n = len(matrix)
     if not 2 <= args.k < n:
@@ -156,6 +163,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require_at_least_one(max_iter=args.max_iter)
     matrix = _load_matrix(args)
     n = len(matrix)
     k_max = args.k_max if args.k_max is not None else default_k_max(n)
@@ -170,6 +178,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _require_at_least_one(repeats=args.repeats, max_iter=args.max_iter)
+    if args.timeout < 0:
+        raise ConfigError(f"--timeout must not be negative, got {args.timeout}")
     sizes = _parse_int_list(args.sizes, "sizes")
     ks = _parse_int_list(args.ks, "ks")
     algos = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -188,27 +199,30 @@ def cmd_bench(args) -> int:
                 raise ConfigError(f"bench cell k={k} >= n={n}")
             m0 = init_random(n, k, args.seed)
             for algo in algos:
-                fn = ALGORITHMS[algo]
-                fn(matrix, m0, max_iter=args.max_iter)  # warmup
-                times = []
-                result = None
-                timed_out = False
-                for _ in range(args.repeats):
-                    t0 = time.perf_counter()
-                    result = fn(matrix, m0, max_iter=args.max_iter)
-                    elapsed = time.perf_counter() - t0
-                    times.append(elapsed)
-                    if args.timeout and elapsed > args.timeout:
-                        timed_out = True
-                        break
-                if timed_out:
+                timed = _time_cell(ALGORITHMS[algo], matrix, m0, args)
+                if timed is None:
                     lines.append(f"{algo},{n},{k},timeout,,")
                 else:
-                    med = statistics.median(times)
+                    med, result = timed
                     lines.append(f"{algo},{n},{k},{med!r},"
                                  f"{result.swaps},{result.iterations}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
+
+
+def _time_cell(fn, matrix, m0, args):
+    """(median seconds of the timed repeats, last result), or None as soon
+    as the untimed warm-up or any repeat exceeds args.timeout."""
+    times, result = [], None
+    for run in range(args.repeats + 1):  # run 0 is the warm-up
+        t0 = time.perf_counter()
+        result = fn(matrix, m0, max_iter=args.max_iter)
+        elapsed = time.perf_counter() - t0
+        if args.timeout and elapsed > args.timeout:
+            return None
+        if run:
+            times.append(elapsed)
+    return statistics.median(times), result
 
 
 def cmd_eval(args) -> int:
@@ -289,8 +303,8 @@ def build_parser() -> _Parser:
     p.add_argument("--repeats", type=int, default=3,
                    help="timed repetitions per cell (median reported)")
     p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-run budget in seconds; exceeded cells are "
-                        "marked timeout and the grid continues")
+                   help="per-run budget in seconds, warm-up included; "
+                        "exceeded cells are marked timeout and the grid continues")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--output", "-o")

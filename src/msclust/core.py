@@ -52,8 +52,7 @@ def safe_ratio(a: float, b: float) -> float:
 def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized safe_ratio."""
     b = np.asarray(b, dtype=float)
-    out = np.divide(a, np.where(b > 0, b, 1.0))
-    return np.where(b > 0, out, 0.0)
+    return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b > 0)
 
 
 def check_matrix(values) -> np.ndarray:

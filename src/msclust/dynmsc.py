@@ -22,9 +22,15 @@ from .naive import DEFAULT_MAX_ITER
 
 @dataclass
 class KResult:
+    """One k of the sweep. swaps and iterations count the eager run at
+    this k only; converged is False when its pass budget ran out."""
+
     k: int
     ams: float
     medoids: np.ndarray
+    converged: bool
+    swaps: int
+    iterations: int
 
 
 @dataclass
@@ -78,7 +84,9 @@ def dynmsc(
     """Descending-k sweep with warm-started eager optimization.
 
     Returns per-k results for every k in [k_min, k_max] and the
-    argmax-AMS choice (ties toward smaller k).
+    argmax-AMS choice (ties toward smaller k). best.converged is the
+    chosen k's flag; best.swaps and best.iterations are totals over the
+    whole sweep.
     """
     matrix = check_matrix(matrix)
     n = len(matrix)
@@ -91,8 +99,11 @@ def dynmsc(
     state = make_state(matrix, init_random(n, k_max, seed))
     per_k: dict[int, KResult] = {}
     for k in range(k_max, k_min - 1, -1):
-        _fastermsc_state(state, max_iter)
-        per_k[k] = KResult(k=k, ams=state.ams_sum / n, medoids=state.medoids.copy())
+        swaps, iterations = state.swaps, state.iterations
+        converged = _fastermsc_state(state, max_iter)
+        per_k[k] = KResult(k=k, ams=state.ams_sum / n, medoids=state.medoids.copy(),
+                           converged=converged, swaps=state.swaps - swaps,
+                           iterations=state.iterations - iterations)
         if k > k_min:
             drop = int(np.argmax(state.removal_loss))
             remove_medoid(state, drop)
@@ -113,7 +124,7 @@ def dynmsc(
         asw=None,
         swaps=state.swaps,
         iterations=state.iterations,
-        converged=True,
+        converged=chosen.converged,
     )
     return SweepResult(per_k=per_k, best_k=best_k, best=best)
 

@@ -7,13 +7,21 @@ The key pieces:
 * ``removal_losses``: per-medoid accumulators of the change in the
   silhouette sum if that medoid were deleted (points falling back to
   their next-nearest medoids).
-* ``find_best_swap``: one O((n-k) n) pass that combines removal losses,
-  the shared gain of adding each candidate, and correction terms for
-  points whose nearest or second-nearest medoid is replaced.
+* ``block_totals``: the scan kernel. For a block of candidates it
+  combines the removal losses, the shared gain of adding each candidate,
+  and correction terms for points whose nearest or second-nearest
+  medoid is replaced, in whole-array passes over the (candidate, point)
+  pairs with d(o, j) < d3(o). A block holds at most SCAN_BUDGET = 2**15
+  distances, so each of its temporaries is at most 256 KiB whatever n is.
+* ``find_best_swap``: one O((n-k) n) pass over all non-medoids in blocks.
 * ``fastmsc``: steepest descent on these accumulators; returns results
   identical to the naive pammedsil under the shared tie-break rules.
 * ``fastermsc``: eager first-descent variant that applies every
-  improving swap immediately while cycling over candidates.
+  improving swap immediately while cycling over candidates. Each block
+  is scored speculatively against the current medoids and its first
+  improving candidate is applied; blocks are clipped at every point
+  where the one-candidate-at-a-time loop would stop or count a pass, so
+  the swap sequence is the same as scoring one candidate at a time.
 
 All delta values are gains in the unnormalized silhouette sum; division
 by n happens only at reporting boundaries.
@@ -36,6 +44,9 @@ from .core import (
     safe_ratio_arr,
 )
 from .naive import DEFAULT_MAX_ITER, EPS_GAIN, SwapCandidate
+
+# distances scored per candidate block: 2**15 float64 rows take 256 KiB
+SCAN_BUDGET = 1 << 15
 
 
 @dataclass
@@ -129,56 +140,71 @@ def _refresh_derived(state: OptimizerState) -> None:
                                       minlength=state.k)
 
 
-def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
-    """Accumulated swap gains for replacing each medoid with point j.
+def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulated swap gains for replacing each medoid with each
+    candidate in J.
 
-    Returns (per-medoid accumulators seeded with the removal losses plus
-    correction terms, shared addition gain). The total gain for a swap
-    at position i is acc[i] + shared, and equals the sum of swap_delta
-    over all points.
+    Returns (acc[len(J), k], shared[len(J)]): per-medoid accumulators
+    seeded with the removal losses plus correction terms, and the shared
+    addition gain. The total gain for swapping position i for J[r] is
+    acc[r, i] + shared[r], and equals the sum of swap_delta over all
+    points. Only pairs with d(o, j) < d3(o) contribute; the rest are in
+    the far-far case, whose delta is zero.
     """
     c = state.cache
-    doj = state.matrix[j]
-    near = np.nonzero(doj < c.d3)[0]
-    acc = state.removal_loss.copy()
-    shared = 0.0
-    state.inner_visits += len(state.matrix)
-    if len(near) == 0:
-        return acc, shared
+    n = len(state.matrix)
+    m, k = len(J), state.k
+    rows = state.matrix[J]
+    # flat indices of the near pairs, row-major: candidate r, point p
+    flat = np.flatnonzero(rows < c.d3)
+    r = flat // n
+    p = flat - r * n
+    state.inner_visits += m * n
 
-    dv = doj[near]
-    d1 = c.d1[near]
-    d2 = c.d2[near]
-    r12 = state.r12[near]
-    r23 = state.r23[near]
-    r13 = state.r13[near]
+    dv = rows.take(flat)
+    d1 = c.d1.take(p)
+    d2 = c.d2.take(p)
+    r12 = state.r12.take(p)
+    # inner: the candidate beats the second nearest (dv < d1 or d1 <= dv < d2);
+    # otherwise d2 <= dv < d3. In every case d(o, j) and d1 meet in the
+    # ratio min/max, which is dv/d1 if dv < d1 and d1/dv otherwise.
+    inner = dv < d2
+    r1v = safe_ratio_arr(np.minimum(dv, d1), np.maximum(dv, d1))
+    lost = safe_ratio_arr(np.where(inner, d1 + dv, d2), np.where(inner, d2, dv))
+    cn1 = (np.where(inner, r1v, 0.0) + state.r23.take(p)) - lost
+    cn2 = state.r13.take(p) - np.where(inner, r12, r1v)
 
-    case1 = dv < d1
-    case2 = ~case1 & (dv < d2)
-    case3 = ~(case1 | case2)
-
-    cn1 = np.empty(len(near))
-    cn2 = np.empty(len(near))
-
-    if case1.any():
-        i1 = case1
-        shared += float((r12[i1] - dv[i1] / d1[i1]).sum())
-        cn1[i1] = dv[i1] / d1[i1] + r23[i1] - (d1[i1] + dv[i1]) / d2[i1]
-        cn2[i1] = r13[i1] - r12[i1]
-    if case2.any():
-        i2 = case2
-        rv = safe_ratio_arr(d1[i2], dv[i2])
-        shared += float((r12[i2] - rv).sum())
-        cn1[i2] = rv + r23[i2] - (d1[i2] + dv[i2]) / d2[i2]
-        cn2[i2] = r13[i2] - r12[i2]
-    if case3.any():
-        i3 = case3
-        cn1[i3] = r23[i3] - safe_ratio_arr(d2[i3], dv[i3])
-        cn2[i3] = r13[i3] - safe_ratio_arr(d1[i3], dv[i3])
-
-    acc += np.bincount(c.n1[near], weights=cn1, minlength=state.k)
-    acc += np.bincount(c.n2[near], weights=cn2, minlength=state.k)
+    shared = np.bincount(r, weights=np.where(inner, r12 - r1v, 0.0), minlength=m)
+    rk = r * k
+    acc = state.removal_loss + np.bincount(rk + c.n1.take(p), weights=cn1,
+                                           minlength=m * k).reshape(m, k)
+    acc += np.bincount(rk + c.n2.take(p), weights=cn2, minlength=m * k).reshape(m, k)
     return acc, shared
+
+
+def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
+    """block_totals for the single candidate j: (acc[k], shared)."""
+    acc, shared = block_totals(state, np.array([j]))
+    return acc[0], float(shared[0])
+
+
+def _block_width(n: int) -> int:
+    """Candidates per block: as many rows as fit in SCAN_BUDGET."""
+    return max(1, SCAN_BUDGET // n)
+
+
+def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best medoid position of each candidate in J (the first argmax; the
+    shared gain is constant across positions) and its total gain."""
+    if len(J) == 1:
+        # the one-row entry point, so per-candidate instrumentation of
+        # candidate_totals still sees single-candidate scans
+        acc, shared = candidate_totals(state, int(J[0]))
+        acc, shared = acc[None], np.array([shared])
+    else:
+        acc, shared = block_totals(state, J)
+    pos = np.argmax(acc, axis=1)
+    return pos, acc[np.arange(len(J)), pos] + shared
 
 
 def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
@@ -193,15 +219,15 @@ def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
     n = len(state.matrix)
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[state.medoids] = True
+    candidates = np.flatnonzero(~is_medoid)
+    width = _block_width(n)
     best: SwapCandidate | None = None
-    for j in range(n):
-        if is_medoid[j]:
-            continue
-        acc, shared = candidate_totals(state, j)
-        i = int(np.argmax(acc))
-        total = float(acc[i]) + shared
-        if best is None or total > best.gain:
-            best = SwapCandidate(i, j, total)
+    for start in range(0, len(candidates), width):
+        J = candidates[start:start + width]
+        pos, total = _best_positions(state, J)
+        b = int(np.argmax(total))
+        if best is None or total[b] > best.gain:
+            best = SwapCandidate(int(pos[b]), int(J[b]), float(total[b]))
     if best is None or best.gain <= EPS_GAIN:
         return None
     return best
@@ -299,32 +325,48 @@ def fastermsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringRe
 
 def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     """Run eager swapping on an existing (warm) state. Returns True on
-    convergence, False when the pass budget ran out."""
+    convergence, False when the pass budget ran out.
+
+    Positions are scanned in blocks [j, stop) that end where scanning
+    one candidate at a time would check something: at the end of a full
+    cycle since the last swap (back at the swapped candidate) or since
+    the start, and at the end of a pass, where the pass budget is
+    checked. The first improving candidate of a block is applied and
+    scanning resumes after it. The block width starts at 1 after each
+    swap and doubles after each block without one, up to the scan budget.
+    """
     n = len(state.matrix)
+    cap = _block_width(n)
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[state.medoids] = True
-    x_last = -1
     j = 0
     visited = 0  # positions visited since the last swap (or start)
-    steps = 0
+    passes = 0
+    width = 1
     state.iterations += 1
     while True:
-        if j == x_last or visited >= n:
+        if visited >= n:
             return True
-        if steps and steps % n == 0:
+        if j == n:
+            passes += 1
             state.iterations += 1
-            if steps // n >= max_iter:
+            if passes >= max_iter:
                 return False
-        if not is_medoid[j]:
-            acc, shared = candidate_totals(state, j)
-            i = int(np.argmax(acc))
-            total = float(acc[i]) + shared
-            if total > EPS_GAIN:
-                is_medoid[state.medoids[i]] = False
-                is_medoid[j] = True
-                _apply_swap(state, i, j, total)
-                x_last = j
-                visited = 0
-        j = (j + 1) % n
-        visited += 1
-        steps += 1
+            j = 0
+        stop = min(j + width, n, j + n - visited)
+        J = j + np.flatnonzero(~is_medoid[j:stop])
+        pos, totals = _best_positions(state, J)
+        better = np.flatnonzero(totals > EPS_GAIN)
+        if not len(better):
+            width = min(2 * width, cap)
+            visited += stop - j
+            j = stop
+            continue
+        h = better[0]
+        i, j = int(pos[h]), int(J[h])
+        is_medoid[state.medoids[i]] = False
+        is_medoid[j] = True
+        _apply_swap(state, i, j, float(totals[h]))
+        width = 1
+        visited = 1
+        j += 1

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ class TestBench:
         assert lines[0] == "algo,n,k,seconds,swaps,iters"
         assert len(lines) == 1 + 2 * 2 * 2
 
+    def test_timeout_bounds_the_warmup(self, monkeypatch, capsys):
+        import msclust.cli as cli
+
+        calls = []
+
+        def slow(matrix, medoids, max_iter):
+            calls.append(1)
+            time.sleep(0.01)
+            return cli.ALGORITHMS["fastmsc"](matrix, medoids, max_iter=max_iter)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "slow", slow)
+        rc = main(["bench", "--sizes", "30", "--ks", "2", "--algorithms", "slow",
+                   "--repeats", "3", "--timeout", "0.001"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1] == "slow,30,2,timeout,,"
+        assert len(calls) == 1  # the warm-up ran, no timed repeat did
+
     def test_unknown_algorithm(self, capsys):
         rc = main(["bench", "--sizes", "30", "--ks", "2",
                    "--algorithms", "nosuch"])
@@ -193,3 +212,26 @@ class TestExitCodes:
                    "--k", "2"])
         assert rc == 3
         assert "matrix invariant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["cluster", "--k", "2", "--restarts", "0"], "--restarts"),
+        (["cluster", "--k", "2", "--max-iter", "0"], "--max-iter"),
+        (["cluster", "--k", "2", "--algorithm", "fastmsc", "--max-iter", "-5"], "--max-iter"),
+        (["sweep", "--k-max", "3", "--max-iter", "0"], "--max-iter"),
+    ])
+    def test_bad_budget_or_count(self, line_csv, capsys, argv, flag):
+        rc = main(argv + ["--input", line_csv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and flag in err
+
+    @pytest.mark.parametrize("extra,flag", [
+        (["--repeats", "0"], "--repeats"),
+        (["--max-iter", "0"], "--max-iter"),
+        (["--timeout", "-1"], "--timeout"),
+    ])
+    def test_bad_bench_budget_or_count(self, capsys, extra, flag):
+        rc = main(["bench", "--sizes", "30", "--ks", "2"] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and flag in err

@@ -125,6 +125,30 @@ class TestDynmsc:
         )
         assert sweep.best.swaps < independent
 
+    def test_per_k_work_adds_up_to_the_sweep_totals(self):
+        mat = uniform_instance(60, seed=6)
+        sweep = dynmsc(mat, k_max=7, seed=6)
+        assert sum(kr.swaps for kr in sweep.per_k.values()) == sweep.best.swaps
+        assert sum(kr.iterations for kr in sweep.per_k.values()) == sweep.best.iterations
+        assert all(kr.converged for kr in sweep.per_k.values())
+        assert sweep.best.converged
+
+    @pytest.mark.parametrize("max_iter", [1, 1000])
+    def test_single_k_flags_match_fastermsc(self, max_iter):
+        mat = uniform_instance(50, seed=4)
+        sweep = dynmsc(mat, k_max=5, k_min=5, seed=4, max_iter=max_iter)
+        direct = fastermsc(mat, init_random(50, 5, seed=4), max_iter=max_iter)
+        kr = sweep.per_k[5]
+        assert (kr.converged, kr.swaps, kr.iterations) == (
+            direct.converged, direct.swaps, direct.iterations)
+        assert sweep.best.converged == direct.converged
+
+    def test_budget_cut_is_reported(self):
+        mat = uniform_instance(60, seed=6)
+        sweep = dynmsc(mat, k_max=7, seed=6, max_iter=1)
+        assert not sweep.per_k[7].converged
+        assert sweep.best.converged == sweep.per_k[sweep.best_k].converged
+
     def test_default_k_max(self):
         assert default_k_max(400) == 30
         assert default_k_max(9) == 8

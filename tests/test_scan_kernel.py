@@ -1,0 +1,254 @@
+"""The block scan kernel against the per-candidate code it replaced.
+
+``reference_candidate_totals`` is the scalar per-candidate formula with
+one masked pass per case, and ``reference_eager`` is the eager search
+that scores one candidate at a time. Both are kept here as references
+only: the package scores every candidate through ``block_totals``.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from msclust import build_matrix, fastmsc, init_random, make_state
+from msclust.core import safe_ratio_arr
+from msclust.naive import EPS_GAIN
+
+from helpers import uniform_instance
+
+# the package re-exports the function fastmsc under the module's name
+fm = importlib.import_module("msclust.fastmsc")
+
+
+def reference_candidate_totals(state, j):
+    c = state.cache
+    doj = state.matrix[j]
+    near = np.nonzero(doj < c.d3)[0]
+    acc = state.removal_loss.copy()
+    shared = 0.0
+    if len(near) == 0:
+        return acc, shared
+
+    dv = doj[near]
+    d1 = c.d1[near]
+    d2 = c.d2[near]
+    r12 = state.r12[near]
+    r23 = state.r23[near]
+    r13 = state.r13[near]
+
+    case1 = dv < d1
+    case2 = ~case1 & (dv < d2)
+    case3 = ~(case1 | case2)
+
+    cn1 = np.empty(len(near))
+    cn2 = np.empty(len(near))
+
+    if case1.any():
+        i1 = case1
+        shared += float((r12[i1] - dv[i1] / d1[i1]).sum())
+        cn1[i1] = dv[i1] / d1[i1] + r23[i1] - (d1[i1] + dv[i1]) / d2[i1]
+        cn2[i1] = r13[i1] - r12[i1]
+    if case2.any():
+        i2 = case2
+        rv = safe_ratio_arr(d1[i2], dv[i2])
+        shared += float((r12[i2] - rv).sum())
+        cn1[i2] = rv + r23[i2] - (d1[i2] + dv[i2]) / d2[i2]
+        cn2[i2] = r13[i2] - r12[i2]
+    if case3.any():
+        i3 = case3
+        cn1[i3] = r23[i3] - safe_ratio_arr(d2[i3], dv[i3])
+        cn2[i3] = r13[i3] - safe_ratio_arr(d1[i3], dv[i3])
+
+    acc += np.bincount(c.n1[near], weights=cn1, minlength=state.k)
+    acc += np.bincount(c.n2[near], weights=cn2, minlength=state.k)
+    return acc, shared
+
+
+def reference_eager(state, max_iter):
+    """One candidate at a time. Returns (converged, [(position,
+    replacement)], candidates scored after the last swap)."""
+    n = len(state.matrix)
+    is_medoid = np.zeros(n, dtype=bool)
+    is_medoid[state.medoids] = True
+    made = []
+    tail = 0
+    x_last = -1
+    j = 0
+    visited = 0
+    steps = 0
+    state.iterations += 1
+    while True:
+        if j == x_last or visited >= n:
+            return True, made, tail
+        if steps and steps % n == 0:
+            state.iterations += 1
+            if steps // n >= max_iter:
+                return False, made, tail
+        if not is_medoid[j]:
+            tail += 1
+            acc, shared = reference_candidate_totals(state, j)
+            i = int(np.argmax(acc))
+            total = float(acc[i]) + shared
+            if total > EPS_GAIN:
+                is_medoid[state.medoids[i]] = False
+                is_medoid[j] = True
+                fm._apply_swap(state, i, j, total)
+                made.append((i, j))
+                tail = 0
+                x_last = j
+                visited = 0
+        j = (j + 1) % n
+        visited += 1
+        steps += 1
+
+
+def block_eager(state, max_iter, monkeypatch):
+    """The package's eager search, recording each swap it applies and
+    how many candidates it scores after the last one."""
+    made = []
+    tail = [0]
+    apply_swap, block_totals = fm._apply_swap, fm.block_totals
+
+    def recording_swap(state, position, replacement, gain):
+        made.append((position, replacement))
+        tail[0] = 0
+        apply_swap(state, position, replacement, gain)
+
+    def counting_totals(state, J):
+        assert len(J) * len(state.matrix) <= max(fm.SCAN_BUDGET, len(state.matrix))
+        tail[0] += len(J)
+        return block_totals(state, J)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fm, "_apply_swap", recording_swap)
+        mp.setattr(fm, "block_totals", counting_totals)
+        converged = fm._fastermsc_state(state, max_iter)
+    return converged, made, tail[0]
+
+
+def tied_instance(n, seed):
+    """Small-integer Manhattan distances: many exact ties among d(o, j),
+    d1, d2 and d3, and duplicate points (zero distances)."""
+    rng = np.random.default_rng(seed)
+    return build_matrix(rng.integers(0, 4, size=(n, 2)).astype(float),
+                        metric="manhattan")
+
+
+INSTANCES = [("uniform", uniform_instance, seed) for seed in range(4)]
+INSTANCES += [("tied", tied_instance, seed) for seed in range(4)]
+
+
+@pytest.mark.parametrize("kind,make,seed", INSTANCES)
+def test_block_totals_match_scalar_formula(kind, make, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 60))
+    mat = make(n, seed)
+    for k in (2, 3, 7):
+        state = make_state(mat, init_random(n, k, seed=seed))
+        J = np.flatnonzero(~np.isin(np.arange(n), state.medoids))
+        acc, shared = fm.block_totals(state, J)
+        assert acc.shape == (len(J), k) and shared.shape == (len(J),)
+        for r, j in enumerate(J):
+            ref_acc, ref_shared = reference_candidate_totals(state, j)
+            assert np.array_equal(acc[r], ref_acc)
+            assert abs(shared[r] - ref_shared) <= 1e-12
+            one_acc, one_shared = fm.candidate_totals(state, int(j))
+            assert np.array_equal(one_acc, acc[r]) and one_shared == shared[r]
+
+
+def test_block_totals_do_not_depend_on_the_block():
+    mat = uniform_instance(70, seed=9)
+    state = make_state(mat, init_random(70, 5, seed=9))
+    J = np.flatnonzero(~np.isin(np.arange(70), state.medoids))
+    acc, shared = fm.block_totals(state, J)
+    for part in (J[:1], J[3:17], J[::5]):
+        rows = np.searchsorted(J, part)
+        sub_acc, sub_shared = fm.block_totals(state, part)
+        assert np.array_equal(sub_acc, acc[rows])
+        assert np.array_equal(sub_shared, shared[rows])
+
+
+def test_blocks_smaller_than_the_candidate_list(monkeypatch):
+    # a budget of 3 rows per block splits the steepest scan into many
+    # blocks, so the cross-block tie rule decides the best swap
+    mat = uniform_instance(60, seed=31)
+    m0 = init_random(60, 4, seed=31)
+    expected = fastmsc(mat, m0)
+    monkeypatch.setattr(fm, "SCAN_BUDGET", 3 * 60)
+    blocked = fastmsc(mat, m0)
+    assert np.array_equal(blocked.medoids, expected.medoids)
+    assert blocked.ams == expected.ams
+    assert (blocked.swaps, blocked.iterations) == (expected.swaps, expected.iterations)
+
+
+@pytest.mark.parametrize("budget_rows", [1, 3, None])
+def test_steepest_scan_picks_the_earliest_best_candidate(budget_rows, monkeypatch):
+    # duplicate points have identical rows, hence exactly tied totals
+    if budget_rows is not None:
+        monkeypatch.setattr(fm, "SCAN_BUDGET", budget_rows * 40)
+    for seed in range(6):
+        mat = tied_instance(40, seed)
+        state = make_state(mat, init_random(40, 4, seed=seed))
+        best_gain, best = None, None
+        for j in range(40):
+            if j in set(state.medoids.tolist()):
+                continue
+            acc, shared = fm.candidate_totals(state, j)
+            i = int(np.argmax(acc))
+            total = float(acc[i]) + shared
+            if best is None or total > best_gain:
+                best_gain, best = total, (i, j)
+        cand = fm.find_best_swap(state)
+        if best_gain <= EPS_GAIN:
+            assert cand is None
+        else:
+            assert (cand.medoid_position, cand.replacement) == best
+            assert cand.gain == best_gain
+
+
+EAGER_CASES = [
+    (kind, make, seed, max_iter)
+    for kind, make, seed in INSTANCES
+    for max_iter in (1, 2, 1000)
+]
+
+
+@pytest.mark.parametrize("kind,make,seed,max_iter", EAGER_CASES)
+@pytest.mark.parametrize("budget_rows", [1, 5, None])
+def test_eager_blocks_make_the_reference_swaps(kind, make, seed, max_iter,
+                                               budget_rows, monkeypatch):
+    n = 45
+    mat = make(n, seed + 100)
+    m0 = init_random(n, 6, seed=seed)
+    if budget_rows is not None:
+        monkeypatch.setattr(fm, "SCAN_BUDGET", budget_rows * n)
+
+    ref_state = make_state(mat, m0)
+    ref_converged, ref_made, ref_tail = reference_eager(ref_state, max_iter)
+    state = make_state(mat, m0)
+    converged, made, tail = block_eager(state, max_iter, monkeypatch)
+
+    assert made == ref_made
+    # no block reaches past the point where the reference stops
+    assert tail == ref_tail
+    assert converged == ref_converged
+    assert (state.swaps, state.iterations) == (ref_state.swaps, ref_state.iterations)
+    assert np.array_equal(state.medoids, ref_state.medoids)
+    assert state.ams_sum == pytest.approx(ref_state.ams_sum, abs=1e-12)
+
+
+def test_eager_cases_cover_wrap_budget_and_last_swap_stop():
+    """The cases above include runs that swap again after wrapping past
+    n, runs cut by the pass budget, and runs that stop at a last swap
+    that is not the first position."""
+    n = 45
+    wrapped = budget_cut = late_stop = False
+    for _, make, seed in INSTANCES:
+        for max_iter in (1, 2, 1000):
+            state = make_state(make(n, seed + 100), init_random(n, 6, seed=seed))
+            converged, made, _ = reference_eager(state, max_iter)
+            budget_cut |= not converged
+            wrapped |= any(b[1] < a[1] for a, b in zip(made, made[1:]))
+            late_stop |= converged and bool(made) and made[-1][1] > 0
+    assert wrapped and budget_cut and late_stop
