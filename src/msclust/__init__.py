@@ -6,8 +6,6 @@ from .core import (
     InputError,
     MatrixError,
     MedoidError,
-    NeighborCache,
-    NeighborRecord,
     build_matrix,
     check_matrix,
     check_medoids,
@@ -15,32 +13,14 @@ from .core import (
     init_random,
     load_matrix_csv,
     load_points_csv,
-    nearest_three,
     nearest_three_all,
-    safe_ratio,
 )
-from .dynmsc import SweepResult, dynmsc, remove_medoid
+from .dynmsc import SweepResult, dynmsc
 from .extval import ari, nmi
-from .fastmsc import (
-    OptimizerState,
-    fastermsc,
-    fastmsc,
-    find_best_swap,
-    make_state,
-    removal_losses,
-    swap_delta,
-    update_caches_after_swap,
-)
-from .naive import SwapCandidate, pammedsil, pamsil
+from .fastmsc import fastermsc, fastmsc
+from .naive import pammedsil, pamsil
 from .oracle import axiom_suite, exhaustive_best_medoids, recompute_delta
-from .silhouette import (
-    SilhouetteReport,
-    ams,
-    medoid_silhouette,
-    silhouette,
-    silhouette_plot_data,
-    simplified_silhouette,
-)
+from .silhouette import SilhouetteReport, ams, medoid_silhouette, silhouette, silhouette_plot_data
 
 __version__ = "0.1.0"
 
@@ -49,11 +29,7 @@ __all__ = [
     "InputError",
     "MatrixError",
     "MedoidError",
-    "NeighborCache",
-    "NeighborRecord",
-    "OptimizerState",
     "SilhouetteReport",
-    "SwapCandidate",
     "SweepResult",
     "ams",
     "ari",
@@ -65,25 +41,16 @@ __all__ = [
     "exhaustive_best_medoids",
     "fastermsc",
     "fastmsc",
-    "find_best_swap",
     "init_build",
     "init_random",
     "load_matrix_csv",
     "load_points_csv",
-    "make_state",
     "medoid_silhouette",
-    "nearest_three",
     "nearest_three_all",
     "nmi",
     "pammedsil",
     "pamsil",
     "recompute_delta",
-    "removal_losses",
-    "remove_medoid",
-    "safe_ratio",
     "silhouette",
     "silhouette_plot_data",
-    "simplified_silhouette",
-    "swap_delta",
-    "update_caches_after_swap",
 ]

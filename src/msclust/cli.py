@@ -6,20 +6,20 @@ Verbs:
   bench    timing grid over (n, k, algorithm) cells on synthetic data
   eval     ARI/NMI between two label files
 
+cluster runs its restarts one after another and reports the best; among
+equal qualities the earliest restart wins.
+
 Exit codes: 0 success, 1 invalid configuration, 2 unreadable or
 malformed input, 3 dissimilarity-matrix invariant violation.
-Env var MSC_THREADS caps the worker pool used for restarts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .core import (
 from .extval import ari, nmi
 from .fastmsc import fastermsc, fastmsc
 from .naive import pammedsil, pamsil
-from .silhouette import medoid_silhouette, plot_data_csv, silhouette, silhouette_plot_data
+from .silhouette import ams, medoid_silhouette, plot_data_csv, silhouette, silhouette_plot_data
 
 ALGORITHMS = {
     "pamsil": pamsil,
@@ -75,13 +75,6 @@ def _require_at_least_one(**counts: int) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
-def _worker_pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("MSC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_once(matrix: np.ndarray, args, seed: int):
     n = len(matrix)
     if args.shuffle:
@@ -102,6 +95,7 @@ def _run_once(matrix: np.ndarray, args, seed: int):
         medoids = perm[result.medoids]
         result.medoids = medoids
         result.labels = nearest_three_all(matrix, medoids).n1
+        result.ams = ams(matrix, medoids)  # summed in the input's point order
     return result
 
 
@@ -118,12 +112,7 @@ def cmd_cluster(args) -> int:
 
     seeds = [args.seed + r for r in range(args.restarts)]
     started = time.perf_counter()
-    workers = _worker_pool_size()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _run_once(matrix, args, s), seeds))
-    else:
-        results = [_run_once(matrix, args, s) for s in seeds]
+    results = [_run_once(matrix, args, s) for s in seeds]
     best = max(results, key=lambda r: _quality(r, args.algorithm))
     seconds = time.perf_counter() - started
 
@@ -143,6 +132,7 @@ def cmd_cluster(args) -> int:
         "labels": [int(l) for l in best.labels],
         "swaps": best.swaps,
         "iterations": best.iterations,
+        "converged": best.converged,
         "seconds": seconds,
     })
 

@@ -37,8 +37,8 @@ class InputError(ValueError):
     """Malformed input file (bad row, ragged data, non-numeric token)."""
 
 
-def safe_ratio(a: float, b: float) -> float:
-    """a / b if b > 0 else 0.
+def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a / b where b > 0, else 0.
 
     Wherever ratios appear in the Medoid Silhouette formulas, a <= b
     holds, so b == 0 forces a == 0 and the 0 result matches the
@@ -46,11 +46,6 @@ def safe_ratio(a: float, b: float) -> float:
     perfect silhouette. b may be +inf (the d3 sentinel for k == 2), in
     which case the ratio is 0 as well.
     """
-    return a / b if b > 0 else 0.0
-
-
-def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized safe_ratio."""
     b = np.asarray(b, dtype=float)
     return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b > 0)
 
@@ -110,21 +105,10 @@ def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
     return squareform(pdist(pts, metric=_SCIPY_METRIC[metric]))
 
 
-@dataclass(frozen=True)
-class NeighborRecord:
-    """Identities of a point's two nearest medoids and its three
-    smallest medoid distances. d3 is +inf when k == 2."""
-
-    n1: int
-    n2: int
-    d1: float
-    d2: float
-    d3: float
-
-
 @dataclass
 class NeighborCache:
-    """Per-point NeighborRecord fields as parallel arrays."""
+    """Per point: the positions of its two nearest medoids and its three
+    smallest medoid distances, as parallel arrays. d3 is +inf when k == 2."""
 
     n1: np.ndarray
     n2: np.ndarray
@@ -132,42 +116,20 @@ class NeighborCache:
     d2: np.ndarray
     d3: np.ndarray
 
-    def record(self, o: int) -> NeighborRecord:
-        return NeighborRecord(
-            int(self.n1[o]), int(self.n2[o]),
-            float(self.d1[o]), float(self.d2[o]), float(self.d3[o]),
-        )
 
-
-def nearest_three(matrix: np.ndarray, medoids, o: int) -> NeighborRecord:
-    """The <= 3 smallest distances from point o to the medoids, with
-    the positions of the two nearest. Ties go to the lower position."""
-    medoids = np.asarray(medoids, dtype=np.intp)
-    dists = matrix[o, medoids]
-    order = np.argsort(dists, kind="stable")
-    d3 = float(dists[order[2]]) if len(medoids) > 2 else np.inf
-    return NeighborRecord(
-        int(order[0]), int(order[1]),
-        float(dists[order[0]]), float(dists[order[1]]), d3,
-    )
+def top3(d: np.ndarray) -> NeighborCache:
+    """NeighborCache of a points x medoids distance block. Ties go to
+    the lower medoid position."""
+    order = np.argsort(d, axis=1, kind="stable")
+    rows = np.arange(len(d))
+    n1, n2 = order[:, 0], order[:, 1]
+    d3 = d[rows, order[:, 2]] if d.shape[1] > 2 else np.full(len(d), np.inf)
+    return NeighborCache(n1, n2, d[rows, n1], d[rows, n2], d3)
 
 
 def nearest_three_all(matrix: np.ndarray, medoids) -> NeighborCache:
-    """Vectorized nearest_three for every point."""
-    medoids = np.asarray(medoids, dtype=np.intp)
-    n = len(matrix)
-    d = matrix[:, medoids]
-    order = np.argsort(d, axis=1, kind="stable")
-    rows = np.arange(n)
-    n1 = order[:, 0]
-    n2 = order[:, 1]
-    d1 = d[rows, n1]
-    d2 = d[rows, n2]
-    if len(medoids) > 2:
-        d3 = d[rows, order[:, 2]]
-    else:
-        d3 = np.full(n, np.inf)
-    return NeighborCache(n1, n2, d1, d2, d3)
+    """The neighbor records of every point."""
+    return top3(matrix[:, np.asarray(medoids, dtype=np.intp)])
 
 
 def init_random(n: int, k: int, seed: int) -> np.ndarray:
@@ -222,6 +184,14 @@ class ClusteringResult:
     converged: bool
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_csv_rows(path: str) -> list[list[float]]:
     rows: list[list[float]] = []
     width = None
@@ -231,15 +201,12 @@ def _parse_csv_rows(path: str) -> list[list[float]]:
             if not line:
                 continue
             tokens = [t.strip() for t in line.split(",")]
-            if not rows and width is None:
-                # header row is optional, detected by a non-numeric first token
-                try:
-                    float(tokens[0])
-                except ValueError:
-                    continue
             try:
                 row = [float(t) for t in tokens]
             except ValueError as exc:
+                # an optional header precedes the data and has no numeric token
+                if width is None and not any(map(_is_float, tokens)):
+                    continue
                 raise InputError(f"row {lineno}: non-numeric value ({exc})") from None
             if width is None:
                 width = len(row)

@@ -49,8 +49,8 @@ def remove_medoid(state: OptimizerState, position: int) -> None:
 
     Only points that had the removed medoid among their three nearest
     are rescanned; the rest just remap their cached positions. Removal
-    losses and the silhouette sum are rebuilt afterward. Requires k >= 3
-    so the result still has two medoids.
+    losses are rebuilt afterward. Requires k >= 3 so the result still has
+    two medoids.
     """
     if state.k < 3:
         raise MedoidError("cannot remove a medoid below k = 2")
@@ -59,19 +59,15 @@ def remove_medoid(state: OptimizerState, position: int) -> None:
     drem = state.matrix[removed]
     state.medoids = np.delete(state.medoids, position)
 
+    # at k == 3 this is every point, so top3 sets d3 = inf for k == 2
     need = (c.n1 == position) | (c.n2 == position) | (drem <= c.d3)
     keep = ~need
     c.n1[keep] -= (c.n1[keep] > position).astype(c.n1.dtype)
     c.n2[keep] -= (c.n2[keep] > position).astype(c.n2.dtype)
-    if state.k == 2:
-        c.d3[keep] = np.inf
     idx = np.nonzero(need)[0]
     if len(idx):
         _rescan(state, idx)
-
     _refresh_derived(state)
-    s = np.where(c.d2 > 0, 1.0 - state.r12, 1.0)
-    state.ams_sum = float(s.sum())
 
 
 def dynmsc(
@@ -130,12 +126,14 @@ def dynmsc(
 
 
 def sweep_to_json(sweep: SweepResult) -> str:
-    """JSON serialization: {"best_k": ..., "per_k": [{"k", "ams", "medoids"}]}."""
+    """JSON serialization:
+    {"best_k": ..., "per_k": [{"k", "ams", "medoids", "converged"}]}."""
     payload = {
         "best_k": sweep.best_k,
         "per_k": [
             {"k": k, "ams": sweep.per_k[k].ams,
-             "medoids": [int(m) for m in sweep.per_k[k].medoids]}
+             "medoids": [int(m) for m in sweep.per_k[k].medoids],
+             "converged": sweep.per_k[k].converged}
             for k in sorted(sweep.per_k)
         ],
     }

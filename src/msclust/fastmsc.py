@@ -2,11 +2,10 @@
 
 The key pieces:
 
-* ``swap_delta``: the O(1) change in one point's Medoid Silhouette for a
-  candidate swap, from the cached nearest/second/third medoid distances.
-* ``removal_losses``: per-medoid accumulators of the change in the
-  silhouette sum if that medoid were deleted (points falling back to
-  their next-nearest medoids).
+* ``OptimizerState``: the medoids and each point's neighbor cache.
+  ``_refresh_derived`` derives the removal losses (the change in the
+  silhouette sum if a medoid were deleted) from the cache, and
+  ``ams_sum`` the silhouette sum; nothing else computes them.
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
@@ -24,7 +23,8 @@ The key pieces:
   the swap sequence is the same as scoring one candidate at a time.
 
 All delta values are gains in the unnormalized silhouette sum; division
-by n happens only at reporting boundaries.
+by n happens only at reporting boundaries. The scalar per-point delta
+they sum is ``msclust.oracle.swap_delta``.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ import numpy as np
 from .core import (
     ClusteringResult,
     NeighborCache,
-    NeighborRecord,
     check_matrix,
     check_medoids,
     nearest_three_all,
-    safe_ratio,
     safe_ratio_arr,
+    top3,
 )
 from .naive import DEFAULT_MAX_ITER, EPS_GAIN, SwapCandidate
 
@@ -51,18 +50,17 @@ SCAN_BUDGET = 1 << 15
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: medoids, neighbor cache, removal losses,
-    and the running unnormalized silhouette sum."""
+    """Mutable per-run state: medoids, neighbor cache and what is derived
+    from the cache."""
 
     matrix: np.ndarray
     medoids: np.ndarray
     cache: NeighborCache
-    removal_loss: np.ndarray
-    ams_sum: float
     swaps: int = 0
     iterations: int = 0
-    inner_visits: int = 0
-    # per-point ratio vectors shared by every candidate scan of an iteration
+    # derived from the cache: per-medoid removal losses, and per-point ratio
+    # vectors shared by every candidate scan of an iteration
+    removal_loss: np.ndarray = field(default=None, repr=False)
     r12: np.ndarray = field(default=None, repr=False)
     r13: np.ndarray = field(default=None, repr=False)
     r23: np.ndarray = field(default=None, repr=False)
@@ -71,45 +69,10 @@ class OptimizerState:
     def k(self) -> int:
         return len(self.medoids)
 
-
-def swap_delta(rec: NeighborRecord, mi: int, d_oj: float) -> float:
-    """Change in one point's Medoid Silhouette when medoid position mi
-    is swapped for a candidate at distance d_oj from the point.
-
-    Three-way case analysis on whether the replaced medoid is the
-    point's nearest, second nearest, or neither, with sub-cases on d_oj
-    against the cached d1/d2/d3. Exactly zero in the far-far case.
-    """
-    d1, d2, d3 = rec.d1, rec.d2, rec.d3
-    old = safe_ratio(d1, d2)
-    if mi == rec.n1:
-        if d_oj < d2:
-            return old - safe_ratio(d_oj, d2)
-        if d_oj < d3:
-            return old - safe_ratio(d2, d_oj)
-        return old - safe_ratio(d2, d3)
-    if mi == rec.n2:
-        if d_oj < d1:
-            return old - safe_ratio(d_oj, d1)
-        if d_oj < d3:
-            return old - safe_ratio(d1, d_oj)
-        return old - safe_ratio(d1, d3)
-    if d_oj < d1:
-        return old - safe_ratio(d_oj, d1)
-    if d_oj < d2:
-        return old - safe_ratio(d1, d_oj)
-    return 0.0
-
-
-def removal_losses(cache: NeighborCache, k: int) -> np.ndarray:
-    """Per-medoid change in the silhouette sum if that medoid were
-    removed, accumulated in one pass over the points."""
-    r12 = safe_ratio_arr(cache.d1, cache.d2)
-    r23 = safe_ratio_arr(cache.d2, cache.d3)
-    r13 = safe_ratio_arr(cache.d1, cache.d3)
-    loss = np.bincount(cache.n1, weights=r12 - r23, minlength=k)
-    loss += np.bincount(cache.n2, weights=r12 - r13, minlength=k)
-    return loss
+    @property
+    def ams_sum(self) -> float:
+        """Unnormalized silhouette sum of the current medoids."""
+        return float(np.where(self.cache.d2 > 0, 1.0 - self.r12, 1.0).sum())
 
 
 def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
@@ -120,12 +83,8 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
         matrix=matrix,
         medoids=medoids,
         cache=nearest_three_all(matrix, medoids),
-        removal_loss=np.zeros(len(medoids)),
-        ams_sum=0.0,
     )
     _refresh_derived(state)
-    s = np.where(state.cache.d2 > 0, 1.0 - state.r12, 1.0)
-    state.ams_sum = float(s.sum())
     return state
 
 
@@ -159,7 +118,6 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     flat = np.flatnonzero(rows < c.d3)
     r = flat // n
     p = flat - r * n
-    state.inner_visits += m * n
 
     dv = rows.take(flat)
     d1 = c.d1.take(p)
@@ -256,26 +214,15 @@ def update_caches_after_swap(state: OptimizerState, swapped_position: int,
 
 def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
     """Recompute the neighbor records of the points in idx."""
+    t = top3(state.matrix[np.ix_(idx, state.medoids)])
     c = state.cache
-    d = state.matrix[np.ix_(idx, state.medoids)]
-    order = np.argsort(d, axis=1, kind="stable")
-    rows = np.arange(len(idx))
-    c.n1[idx] = order[:, 0]
-    c.n2[idx] = order[:, 1]
-    c.d1[idx] = d[rows, order[:, 0]]
-    c.d2[idx] = d[rows, order[:, 1]]
-    if state.k > 2:
-        c.d3[idx] = d[rows, order[:, 2]]
-    else:
-        c.d3[idx] = np.inf
+    c.n1[idx], c.n2[idx], c.d1[idx], c.d2[idx], c.d3[idx] = t.n1, t.n2, t.d1, t.d2, t.d3
 
 
-def _apply_swap(state: OptimizerState, position: int, replacement: int,
-                gain: float) -> None:
+def _apply_swap(state: OptimizerState, position: int, replacement: int) -> None:
     old = int(state.medoids[position])
     state.medoids[position] = replacement
     update_caches_after_swap(state, position, old)
-    state.ams_sum += gain
     state.swaps += 1
 
 
@@ -306,7 +253,7 @@ def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResu
         if cand is None:
             converged = True
             break
-        _apply_swap(state, cand.medoid_position, cand.replacement, cand.gain)
+        _apply_swap(state, cand.medoid_position, cand.replacement)
     return _result(state, converged)
 
 
@@ -349,9 +296,9 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
             return True
         if j == n:
             passes += 1
-            state.iterations += 1
             if passes >= max_iter:
                 return False
+            state.iterations += 1
             j = 0
         stop = min(j + width, n, j + n - visited)
         J = j + np.flatnonzero(~is_medoid[j:stop])
@@ -366,7 +313,7 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
         i, j = int(pos[h]), int(J[h])
         is_medoid[state.medoids[i]] = False
         is_medoid[j] = True
-        _apply_swap(state, i, j, float(totals[h]))
+        _apply_swap(state, i, j)
         width = 1
         visited = 1
         j += 1

@@ -1,6 +1,7 @@
 """Brute-force references and quality-measure property checks.
 
-Everything here trades speed for being obviously correct: exhaustive
+Everything here trades speed for being obviously correct: scalar
+per-point versions of the neighbor cache and the swap delta, exhaustive
 subset enumeration, full re-evaluation of swap deltas, and executable
 versions of the four clustering-quality-measure properties (scale
 invariance, consistency, richness, isomorphism invariance) that the
@@ -15,10 +16,74 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import check_matrix, check_medoids, nearest_three_all
+from .core import NeighborCache, check_matrix, check_medoids, nearest_three_all
 from .silhouette import ams, medoid_silhouette
 
 EXHAUSTIVE_BUDGET = 10**6
+
+
+def safe_ratio(a: float, b: float) -> float:
+    """Scalar core.safe_ratio_arr: a / b if b > 0 else 0."""
+    return a / b if b > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class NeighborRecord:
+    """One point's entry of a NeighborCache."""
+
+    n1: int
+    n2: int
+    d1: float
+    d2: float
+    d3: float
+
+
+def record(cache: NeighborCache, o: int) -> NeighborRecord:
+    return NeighborRecord(int(cache.n1[o]), int(cache.n2[o]), float(cache.d1[o]),
+                          float(cache.d2[o]), float(cache.d3[o]))
+
+
+def nearest_three(matrix: np.ndarray, medoids, o: int) -> NeighborRecord:
+    """The <= 3 smallest distances from point o to the medoids, with
+    the positions of the two nearest, by a sort of its own. Ties go to
+    the lower position."""
+    medoids = np.asarray(medoids, dtype=np.intp)
+    dists = matrix[o, medoids]
+    order = np.argsort(dists, kind="stable")
+    d3 = float(dists[order[2]]) if len(medoids) > 2 else np.inf
+    return NeighborRecord(
+        int(order[0]), int(order[1]),
+        float(dists[order[0]]), float(dists[order[1]]), d3,
+    )
+
+
+def swap_delta(rec: NeighborRecord, mi: int, d_oj: float) -> float:
+    """Change in one point's Medoid Silhouette when medoid position mi
+    is swapped for a candidate at distance d_oj from the point.
+
+    Three-way case analysis on whether the replaced medoid is the
+    point's nearest, second nearest, or neither, with sub-cases on d_oj
+    against the cached d1/d2/d3. Exactly zero in the far-far case.
+    """
+    d1, d2, d3 = rec.d1, rec.d2, rec.d3
+    old = safe_ratio(d1, d2)
+    if mi == rec.n1:
+        if d_oj < d2:
+            return old - safe_ratio(d_oj, d2)
+        if d_oj < d3:
+            return old - safe_ratio(d2, d_oj)
+        return old - safe_ratio(d2, d3)
+    if mi == rec.n2:
+        if d_oj < d1:
+            return old - safe_ratio(d_oj, d1)
+        if d_oj < d3:
+            return old - safe_ratio(d1, d_oj)
+        return old - safe_ratio(d1, d3)
+    if d_oj < d1:
+        return old - safe_ratio(d_oj, d1)
+    if d_oj < d2:
+        return old - safe_ratio(d1, d_oj)
+    return 0.0
 
 
 def exhaustive_best_medoids(matrix, k: int, budget: int = EXHAUSTIVE_BUDGET):

@@ -1,8 +1,9 @@
-"""Silhouette evaluation: full Silhouette (ASW), simplified Silhouette,
-and Medoid Silhouette (AMS), plus silhouette-plot data export.
+"""Silhouette evaluation: full Silhouette (ASW) and Medoid Silhouette
+(AMS), plus silhouette-plot data export.
 
-The full Silhouette is the O(n^2) oracle the faster medoid-based
-variants are compared against; no subsampling is done.
+The full Silhouette is the O(n^2) oracle the Medoid Silhouette is
+compared against; no subsampling is done. The simplified (medoid-based)
+Silhouette with nearest-medoid assignment is the Medoid Silhouette.
 """
 
 from __future__ import annotations
@@ -55,22 +56,6 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     denom = np.maximum(a, b)
     s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
     s = np.where(own_count == 1, 0.0, s)
-    return _report(s)
-
-
-def simplified_silhouette(matrix: np.ndarray, medoids) -> SilhouetteReport:
-    """Simplified (medoid-based) Silhouette with nearest-medoid assignment.
-
-    s'_i = (b' - a') / max(a', b') with a' the distance to the nearest
-    medoid and b' to the closest other medoid. With this assignment
-    a' <= b', so the values coincide with the Medoid Silhouette,
-    including s' = 1 when a' = b' = 0.
-    """
-    medoids = check_medoids(medoids, len(matrix))
-    cache = nearest_three_all(matrix, medoids)
-    a, b = cache.d1, cache.d2
-    denom = np.maximum(a, b)
-    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 1.0)
     return _report(s)
 
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from msclust import ams, build_matrix, dynmsc, fastermsc, init_random, load_points_csv
 from msclust.cli import main
 
 from helpers import LINE_POINTS
@@ -92,6 +93,42 @@ class TestCluster:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ams"] > 0.9
 
+    @pytest.mark.parametrize("algorithm", ["fastmsc", "fastermsc"])
+    @pytest.mark.parametrize("shuffle", [[], ["--shuffle"]])
+    def test_reported_ams_is_a_fresh_recompute(self, algorithm, shuffle, tmp_path, capsys):
+        for seed in range(8):
+            path = tmp_path / f"blobs{seed}.csv"
+            write_blobs(path, seed=seed, n=60)
+            matrix = build_matrix(load_points_csv(str(path)))
+            main(["cluster", "--input", str(path), "--k", "5", "--seed", str(seed),
+                  "--restarts", "3", "--algorithm", algorithm, *shuffle])
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["ams"] == ams(matrix, payload["medoids"])
+
+    def test_tied_restarts_report_the_earliest(self, tmp_path, capsys):
+        path = tmp_path / "blobs.csv"
+        write_blobs(path, seed=0, n=40)
+        matrix = build_matrix(load_points_csv(str(path)))
+        main(["cluster", "--input", str(path), "--k", "4", "--seed", "0"])
+        payload = json.loads(capsys.readouterr().out)
+        runs = [fastermsc(matrix, init_random(40, 4, seed=s)) for s in range(10)]
+        tied = [r for r in runs if sorted(r.medoids.tolist()) == sorted(payload["medoids"])]
+        # the case is only a test if the tied restarts did different work
+        assert len({r.swaps for r in tied}) > 1
+        first = tied[0]
+        assert payload["medoids"] == first.medoids.tolist()
+        assert (payload["swaps"], payload["iterations"]) == (first.swaps, first.iterations)
+
+    def test_converged_flag(self, tmp_path, capsys):
+        path = tmp_path / "blobs.csv"
+        write_blobs(path, seed=0, n=40)
+        flags = []
+        for max_iter in ("1", "1000"):
+            main(["cluster", "--input", str(path), "--k", "4", "--restarts", "1",
+                  "--max-iter", max_iter])
+            flags.append(json.loads(capsys.readouterr().out)["converged"])
+        assert flags == [False, True]
+
     def test_build_init(self, line_csv, capsys):
         rc = main(["cluster", "--input", line_csv, "--k", "2",
                    "--init", "build", "--restarts", "1"])
@@ -127,6 +164,17 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert payload["best_k"] == 4
         assert [e["k"] for e in payload["per_k"]] == list(range(2, 9))
+
+    @pytest.mark.parametrize("max_iter", [1, 1000])
+    def test_per_k_converged(self, max_iter, tmp_path, capsys):
+        path = tmp_path / "blobs.csv"
+        write_blobs(path, seed=0, n=60)
+        main(["sweep", "--input", str(path), "--k-max", "6", "--max-iter", str(max_iter)])
+        payload = json.loads(capsys.readouterr().out)
+        sweep = dynmsc(build_matrix(load_points_csv(str(path))), k_max=6, max_iter=max_iter)
+        flags = [e["converged"] for e in payload["per_k"]]
+        assert flags == [sweep.per_k[k].converged for k in range(2, 7)]
+        assert all(flags) == (max_iter == 1000)
 
     def test_csv_format(self, line_csv, capsys):
         rc = main(["sweep", "--input", line_csv, "--k-max", "3",
@@ -204,6 +252,13 @@ class TestExitCodes:
         rc = main(["cluster", "--input", str(path), "--k", "2"])
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_partly_numeric_first_row(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("abc,1\n0,0\n3,4\n0,1\n")
+        rc = main(["cluster", "--input", str(path), "--k", "2"])
+        assert rc == 2
+        assert "row 1" in capsys.readouterr().err
 
     def test_bad_matrix(self, tmp_path, capsys):
         path = tmp_path / "asym.csv"

@@ -9,9 +9,9 @@ from msclust import (
     check_matrix,
     init_build,
     init_random,
-    nearest_three,
 )
 from msclust.core import load_matrix_csv, load_points_csv
+from msclust.oracle import nearest_three
 
 from helpers import uniform_instance
 
@@ -164,6 +164,17 @@ class TestCsvLoading:
         p = tmp_path / "bad.csv"
         p.write_text("0,0\n1,oops\n2,2\n")
         with pytest.raises(InputError, match="row 2"):
+            load_points_csv(str(p))
+
+    def test_header_has_no_numeric_token(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("x, y label\n0,0\n3,4\n")
+        assert load_points_csv(str(p)).tolist() == [[0.0, 0.0], [3.0, 4.0]]
+
+    def test_partly_numeric_first_row_is_not_a_header(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("abc,1\n0,0\n3,4\n0,1\n")
+        with pytest.raises(InputError, match="row 1"):
             load_points_csv(str(p))
 
     def test_ragged_row_rejected(self, tmp_path):

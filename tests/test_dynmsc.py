@@ -9,12 +9,10 @@ from msclust import (
     dynmsc,
     fastermsc,
     init_random,
-    make_state,
     medoid_silhouette,
-    remove_medoid,
 )
-from msclust.dynmsc import default_k_max, sweep_to_csv, sweep_to_json
-from msclust.fastmsc import removal_losses
+from msclust.dynmsc import default_k_max, remove_medoid, sweep_to_csv, sweep_to_json
+from msclust.fastmsc import make_state
 
 from helpers import blob_matrix, line_matrix, uniform_instance
 
@@ -67,7 +65,7 @@ class TestRemoveMedoid:
         assert np.array_equal(state.cache.n2, fresh.n2)
         assert state.cache.d3 == pytest.approx(fresh.d3)
         assert state.removal_loss == pytest.approx(
-            removal_losses(state.cache, state.k)
+            make_state(mat, state.medoids).removal_loss
         )
 
     def test_cannot_drop_below_two(self):
@@ -96,6 +94,20 @@ class TestDynmsc:
         sweep = dynmsc(mat, k_max=7, seed=6)
         for k, kr in sweep.per_k.items():
             assert kr.ams == pytest.approx(ams(mat, kr.medoids), abs=1e-9)
+
+    def test_per_k_ams_is_a_fresh_recompute(self):
+        for seed in range(6):
+            mat = uniform_instance(40 + 5 * seed, seed=seed)
+            sweep = dynmsc(mat, k_max=8, seed=seed)
+            for kr in sweep.per_k.values():
+                assert kr.ams == ams(mat, kr.medoids)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_per_k_iterations_within_budget(self, max_iter):
+        mat = uniform_instance(60, seed=6)
+        sweep = dynmsc(mat, k_max=7, seed=6, max_iter=max_iter)
+        assert not all(kr.converged for kr in sweep.per_k.values())
+        assert all(kr.iterations <= max_iter for kr in sweep.per_k.values())
 
     def test_best_is_argmax(self):
         mat = uniform_instance(50, seed=7)
@@ -162,7 +174,8 @@ class TestSerialization:
         assert payload["best_k"] == sweep.best_k
         assert [e["k"] for e in payload["per_k"]] == [2, 3, 4]
         for entry in payload["per_k"]:
-            assert set(entry) == {"k", "ams", "medoids"}
+            assert set(entry) == {"k", "ams", "medoids", "converged"}
+            assert entry["converged"] is sweep.per_k[entry["k"]].converged
 
     def test_csv(self):
         mat = uniform_instance(25, seed=9)

@@ -5,16 +5,18 @@ from msclust import (
     ams,
     fastermsc,
     fastmsc,
-    find_best_swap,
     init_random,
-    make_state,
     pammedsil,
     recompute_delta,
-    removal_losses,
-    swap_delta,
 )
 from msclust.core import nearest_three_all
-from msclust.fastmsc import candidate_totals, update_caches_after_swap
+from msclust.fastmsc import (
+    candidate_totals,
+    find_best_swap,
+    make_state,
+    update_caches_after_swap,
+)
+from msclust.oracle import record, swap_delta
 
 from helpers import uniform_instance
 
@@ -32,16 +34,16 @@ class TestSwapDelta:
     def test_line_second_nearest_replaced(self, line):
         state = make_state(line, [0, 2])
         # replace the second-nearest medoid of point 1 with point 3
-        delta = swap_delta(state.cache.record(1), 1, line[1, 3])
+        delta = swap_delta(record(state.cache, 1), 1, line[1, 3])
         assert delta == pytest.approx(1 / 9 - 1 / 10)
 
     def test_line_medoid_point_zero_delta(self, line):
         state = make_state(line, [0, 2])
-        assert swap_delta(state.cache.record(0), 1, line[0, 3]) == 0.0
+        assert swap_delta(record(state.cache, 0), 1, line[0, 3]) == 0.0
 
     def test_line_nearest_replaced(self, line):
         state = make_state(line, [0, 2])
-        assert swap_delta(state.cache.record(2), 1, line[2, 3]) == pytest.approx(-0.1)
+        assert swap_delta(record(state.cache, 2), 1, line[2, 3]) == pytest.approx(-0.1)
 
     def test_matches_full_recompute_on_random_triples(self):
         rng = np.random.default_rng(21)
@@ -56,7 +58,7 @@ class TestSwapDelta:
                 i = int(rng.integers(k))
                 j = int(rng.choice(non_medoids))
                 total = sum(
-                    swap_delta(state.cache.record(o), i, mat[o, j])
+                    swap_delta(record(state.cache, o), i, mat[o, j])
                     for o in range(n)
                 )
                 assert total == pytest.approx(
@@ -66,8 +68,7 @@ class TestSwapDelta:
 
 class TestRemovalLosses:
     def test_line_example(self, line):
-        state = make_state(line, [0, 2])
-        loss = removal_losses(state.cache, 2)
+        loss = make_state(line, [0, 2]).removal_loss
         assert loss[0] == pytest.approx(1 / 9 + 1 / 11)
 
     def test_k2_third_distance_terms_vanish(self):
@@ -76,14 +77,13 @@ class TestRemovalLosses:
         c = state.cache
         expected = np.bincount(c.n1, weights=c.d1 / c.d2, minlength=2)
         expected += np.bincount(c.n2, weights=c.d1 / c.d2, minlength=2)
-        assert removal_losses(c, 2) == pytest.approx(expected)
+        assert state.removal_loss == pytest.approx(expected)
 
     def test_symmetric_clusters_equal_losses(self):
         from msclust import build_matrix
 
         mat = build_matrix([[0.0], [1.0], [10.0], [11.0]])
-        state = make_state(mat, [0, 3])
-        loss = removal_losses(state.cache, 2)
+        loss = make_state(mat, [0, 3]).removal_loss
         assert loss[0] == pytest.approx(loss[1])
 
 
@@ -114,7 +114,7 @@ class TestFindBestSwap:
                 acc, shared = candidate_totals(state, j)
                 for i in range(k):
                     direct = sum(
-                        swap_delta(state.cache.record(o), i, mat[o, j])
+                        swap_delta(record(state.cache, o), i, mat[o, j])
                         for o in range(n)
                     )
                     assert acc[i] + shared == pytest.approx(direct, abs=1e-9)
@@ -146,21 +146,13 @@ class TestFastmsc:
         result = fastmsc(mat, init_random(40, 4, seed=2))
         assert result.ams == pytest.approx(ams(mat, result.medoids), abs=1e-9)
 
-    def test_work_bound_counter(self):
-        mat = uniform_instance(30, seed=6)
-        m0 = init_random(30, 3, seed=6)
-        state = make_state(mat, m0)
-        scans = 0
-        while True:
-            cand = find_best_swap(state)
-            scans += 1
-            if cand is None:
-                break
-            old = int(state.medoids[cand.medoid_position])
-            state.medoids[cand.medoid_position] = cand.replacement
-            update_caches_after_swap(state, cand.medoid_position, old)
-            state.ams_sum += cand.gain
-        assert state.inner_visits == scans * (30 - 3) * 30
+    @pytest.mark.parametrize("optimizer", [fastmsc, fastermsc])
+    def test_reported_ams_is_a_fresh_recompute(self, optimizer):
+        for seed in range(12):
+            n = 40 + 3 * seed
+            mat = uniform_instance(n, seed=seed)
+            result = optimizer(mat, init_random(n, 2 + seed % 6, seed=seed))
+            assert result.ams == ams(mat, result.medoids)
 
 
 class TestFastermsc:
@@ -171,6 +163,12 @@ class TestFastermsc:
     def test_already_optimal_single_pass(self, line):
         result = fastermsc(line, [1, 2])
         assert result.swaps == 0
+        assert result.iterations == 1
+
+    def test_budget_cut_counts_only_the_passes_made(self):
+        result = fastermsc(uniform_instance(50, seed=4), init_random(50, 5, seed=4),
+                           max_iter=1)
+        assert not result.converged
         assert result.iterations == 1
 
     def test_monotone_ascent(self):
@@ -234,8 +232,7 @@ class TestCacheUpdates:
             old = int(state.medoids[cand.medoid_position])
             state.medoids[cand.medoid_position] = cand.replacement
             update_caches_after_swap(state, cand.medoid_position, old)
-            state.ams_sum += cand.gain
             assert_cache_consistent(state)
             assert state.removal_loss == pytest.approx(
-                removal_losses(state.cache, state.k), abs=1e-9
+                make_state(mat, state.medoids).removal_loss, abs=1e-9
             )

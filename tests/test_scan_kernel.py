@@ -11,7 +11,8 @@ import importlib
 import numpy as np
 import pytest
 
-from msclust import build_matrix, fastmsc, init_random, make_state
+from msclust import build_matrix, fastmsc, init_random
+from msclust.fastmsc import make_state
 from msclust.core import safe_ratio_arr
 from msclust.naive import EPS_GAIN
 
@@ -82,9 +83,9 @@ def reference_eager(state, max_iter):
         if j == x_last or visited >= n:
             return True, made, tail
         if steps and steps % n == 0:
-            state.iterations += 1
             if steps // n >= max_iter:
                 return False, made, tail
+            state.iterations += 1
         if not is_medoid[j]:
             tail += 1
             acc, shared = reference_candidate_totals(state, j)
@@ -93,7 +94,7 @@ def reference_eager(state, max_iter):
             if total > EPS_GAIN:
                 is_medoid[state.medoids[i]] = False
                 is_medoid[j] = True
-                fm._apply_swap(state, i, j, total)
+                fm._apply_swap(state, i, j)
                 made.append((i, j))
                 tail = 0
                 x_last = j
@@ -110,10 +111,10 @@ def block_eager(state, max_iter, monkeypatch):
     tail = [0]
     apply_swap, block_totals = fm._apply_swap, fm.block_totals
 
-    def recording_swap(state, position, replacement, gain):
+    def recording_swap(state, position, replacement):
         made.append((position, replacement))
         tail[0] = 0
-        apply_swap(state, position, replacement, gain)
+        apply_swap(state, position, replacement)
 
     def counting_totals(state, J):
         assert len(J) * len(state.matrix) <= max(fm.SCAN_BUDGET, len(state.matrix))

@@ -9,7 +9,6 @@ from msclust import (
     medoid_silhouette,
     silhouette,
     silhouette_plot_data,
-    simplified_silhouette,
 )
 from msclust.core import nearest_three_all
 from msclust.silhouette import plot_data_csv
@@ -101,21 +100,16 @@ class TestMedoidSilhouette:
 
 
 class TestSimplifiedSilhouette:
-    def test_line_example(self, line):
-        rep = simplified_silhouette(line, [0, 2])
-        assert rep.per_point == pytest.approx([1.0, 8 / 9, 1.0, 10 / 11])
+    """The simplified Silhouette with nearest-medoid assignment is the
+    Medoid Silhouette."""
 
-    def test_equals_medoid_silhouette(self):
-        for trial in range(10):
-            mat = uniform_instance(25, seed=30 + trial)
-            medoids = np.array([1, 7, 13])
-            simple = simplified_silhouette(mat, medoids).per_point
-            medoid = medoid_silhouette(mat, medoids).per_point
-            assert simple == pytest.approx(medoid, abs=1e-12)
+    def test_line_example(self, line):
+        rep = medoid_silhouette(line, [0, 2])
+        assert rep.per_point == pytest.approx([1.0, 8 / 9, 1.0, 10 / 11])
 
     def test_all_but_one_medoids(self):
         mat = uniform_instance(5, seed=9)
-        rep = simplified_silhouette(mat, [0, 1, 2, 3])
+        rep = medoid_silhouette(mat, [0, 1, 2, 3])
         assert np.all(rep.per_point[:4] == 1.0)
 
 
