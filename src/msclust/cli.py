@@ -95,7 +95,10 @@ def _run_once(matrix: np.ndarray, args, seed: int):
         medoids = perm[result.medoids]
         result.medoids = medoids
         result.labels = nearest_three_all(matrix, medoids).n1
-        result.ams = ams(matrix, medoids)  # summed in the input's point order
+        # summed in the input's point order, like a fresh recompute
+        result.ams = ams(matrix, medoids)
+        if result.asw is not None:
+            result.asw = silhouette(matrix, result.labels).mean
     return result
 
 

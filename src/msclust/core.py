@@ -7,6 +7,12 @@ the triangle inequality may fail.
 Tie-breaking convention used throughout the package: the lowest point
 index / lowest medoid position wins. This keeps every algorithm
 deterministic, which the cross-algorithm equivalence tests rely on.
+
+Loops over the rows of an n x n array (the distance kernel in
+``build_matrix``, BUILD in ``init_build`` and the swap scan in
+``fastmsc``) work on blocks of ``block_rows(n)`` rows, so each
+temporary holds at most SCAN_BUDGET distances whatever n is. The
+package needs numpy only.
 """
 
 from __future__ import annotations
@@ -14,15 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 METRICS = ("euclidean", "sq-euclidean", "manhattan")
 
-_SCIPY_METRIC = {
-    "euclidean": "euclidean",
-    "sq-euclidean": "sqeuclidean",
-    "manhattan": "cityblock",
-}
+# distances per row block: 2**15 float64 values take 256 KiB
+SCAN_BUDGET = 1 << 15
 
 
 class MatrixError(ValueError):
@@ -48,6 +50,11 @@ def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     b = np.asarray(b, dtype=float)
     return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b > 0)
+
+
+def block_rows(n: int) -> int:
+    """Rows of n distances per block: as many as fit in SCAN_BUDGET."""
+    return max(1, SCAN_BUDGET // n)
 
 
 def check_matrix(values) -> np.ndarray:
@@ -88,8 +95,11 @@ def check_medoids(medoids, n: int) -> np.ndarray:
 def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
     """Pairwise dissimilarity matrix from a list of numeric vectors.
 
-    The result is exactly symmetric (computed on the condensed upper
-    triangle and mirrored).
+    Each entry sums the per-coordinate terms |x - y| (manhattan) or
+    (x - y)**2 in coordinate order, then takes the square root for
+    euclidean. d(a, b) and d(b, a) add the same terms in the same order,
+    so the result is exactly symmetric with a zero diagonal, and equals
+    scipy's ``squareform(pdist(...))`` bit for bit.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, choose from {METRICS}")
@@ -102,7 +112,22 @@ def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
         raise InputError(f"need at least 3 points, got {len(pts)}")
     if not np.all(np.isfinite(pts)):
         raise InputError("points contain non-finite coordinates")
-    return squareform(pdist(pts, metric=_SCIPY_METRIC[metric]))
+    n = len(pts)
+    out = np.zeros((n, n))
+    buf = np.empty((block_rows(n), n))
+    for lo in range(0, n, len(buf)):
+        hi = min(lo + len(buf), n)
+        t = buf[:hi - lo]
+        for col in pts.T:
+            np.subtract.outer(col[lo:hi], col, out=t)
+            if metric == "manhattan":
+                np.abs(t, out=t)
+            else:
+                np.multiply(t, t, out=t)
+            out[lo:hi] += t
+    if metric == "euclidean":
+        np.sqrt(out, out=out)
+    return out
 
 
 @dataclass
@@ -157,8 +182,19 @@ def init_build(matrix: np.ndarray, k: int) -> np.ndarray:
         raise MedoidError(f"need 2 <= k < n, got k={k}, n={n}")
     chosen = [int(np.argmin(matrix.sum(axis=0)))]
     dn = matrix[:, chosen[0]].copy()
+    buf = np.empty((block_rows(n), n))
+    reduction = np.empty(n)
     for _ in range(1, k):
-        reduction = np.maximum(0.0, dn[:, None] - matrix).sum(axis=0)
+        # rows are added in index order, one block at a time; the running
+        # sum enters each block through its first row
+        reduction.fill(0.0)
+        for lo in range(0, n, len(buf)):
+            hi = min(lo + len(buf), n)
+            t = buf[:hi - lo]
+            np.subtract(dn[lo:hi, None], matrix[lo:hi], out=t)
+            np.maximum(t, 0.0, out=t)
+            t[0] += reduction
+            t.sum(axis=0, out=reduction)
         reduction[chosen] = -np.inf
         c = int(np.argmax(reduction))
         chosen.append(c)

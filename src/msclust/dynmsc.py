@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusteringResult, MedoidError, check_matrix, init_random
+from .core import ClusteringResult, MedoidError, check_matrix, init_random, nearest_three_all
 from .fastmsc import OptimizerState, _fastermsc_state, _refresh_derived, _rescan, make_state
 from .naive import DEFAULT_MAX_ITER
 
@@ -108,8 +108,6 @@ def dynmsc(
     for k in sorted(per_k):
         if per_k[k].ams > per_k[best_k].ams:
             best_k = k
-
-    from .core import nearest_three_all
 
     chosen = per_k[best_k]
     labels = nearest_three_all(matrix, chosen.medoids).n1

@@ -10,8 +10,9 @@ The key pieces:
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
   medoid is replaced, in whole-array passes over the (candidate, point)
-  pairs with d(o, j) < d3(o). A block holds at most SCAN_BUDGET = 2**15
-  distances, so each of its temporaries is at most 256 KiB whatever n is.
+  pairs with d(o, j) < d3(o). A block holds at most ``core.SCAN_BUDGET``
+  = 2**15 distances, so each of its temporaries is at most 256 KiB
+  whatever n is.
 * ``find_best_swap``: one O((n-k) n) pass over all non-medoids in blocks.
 * ``fastmsc``: steepest descent on these accumulators; returns results
   identical to the naive pammedsil under the shared tie-break rules.
@@ -36,6 +37,7 @@ import numpy as np
 from .core import (
     ClusteringResult,
     NeighborCache,
+    block_rows,
     check_matrix,
     check_medoids,
     nearest_three_all,
@@ -43,9 +45,6 @@ from .core import (
     top3,
 )
 from .naive import DEFAULT_MAX_ITER, EPS_GAIN, SwapCandidate
-
-# distances scored per candidate block: 2**15 float64 rows take 256 KiB
-SCAN_BUDGET = 1 << 15
 
 
 @dataclass
@@ -146,11 +145,6 @@ def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
     return acc[0], float(shared[0])
 
 
-def _block_width(n: int) -> int:
-    """Candidates per block: as many rows as fit in SCAN_BUDGET."""
-    return max(1, SCAN_BUDGET // n)
-
-
 def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best medoid position of each candidate in J (the first argmax; the
     shared gain is constant across positions) and its total gain."""
@@ -178,7 +172,7 @@ def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[state.medoids] = True
     candidates = np.flatnonzero(~is_medoid)
-    width = _block_width(n)
+    width = block_rows(n)
     best: SwapCandidate | None = None
     for start in range(0, len(candidates), width):
         J = candidates[start:start + width]
@@ -283,7 +277,7 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     swap and doubles after each block without one, up to the scan budget.
     """
     n = len(state.matrix)
-    cap = _block_width(n)
+    cap = block_rows(n)
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[state.medoids] = True
     j = 0

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from msclust import ams, build_matrix, dynmsc, fastermsc, init_random, load_points_csv
+import msclust
+from msclust import (ams, build_matrix, dynmsc, fastermsc, init_random, load_points_csv,
+                     silhouette)
 from msclust.cli import main
 
 from helpers import LINE_POINTS
@@ -103,6 +108,18 @@ class TestCluster:
             main(["cluster", "--input", str(path), "--k", "5", "--seed", str(seed),
                   "--restarts", "3", "--algorithm", algorithm, *shuffle])
             payload = json.loads(capsys.readouterr().out)
+            assert payload["ams"] == ams(matrix, payload["medoids"])
+
+    @pytest.mark.parametrize("shuffle", [[], ["--shuffle"]])
+    def test_reported_asw_is_a_fresh_recompute(self, shuffle, tmp_path, capsys):
+        for seed in range(8):
+            path = tmp_path / f"blobs{seed}.csv"
+            write_blobs(path, seed=seed, n=24)
+            matrix = build_matrix(load_points_csv(str(path)))
+            main(["cluster", "--input", str(path), "--k", "4", "--seed", str(seed),
+                  "--restarts", "2", "--algorithm", "pamsil", *shuffle])
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["asw"] == silhouette(matrix, payload["labels"]).mean
             assert payload["ams"] == ams(matrix, payload["medoids"])
 
     def test_tied_restarts_report_the_earliest(self, tmp_path, capsys):
@@ -290,3 +307,14 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid configuration" in err and flag in err
+
+
+def test_cli_import_loads_no_scipy():
+    """Every CLI job pays for its imports; scipy's took about 0.5 s."""
+    src = os.path.dirname(os.path.dirname(msclust.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, msclust.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

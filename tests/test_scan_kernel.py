@@ -11,7 +11,7 @@ import importlib
 import numpy as np
 import pytest
 
-from msclust import build_matrix, fastmsc, init_random
+from msclust import build_matrix, core, fastmsc, init_random
 from msclust.fastmsc import make_state
 from msclust.core import safe_ratio_arr
 from msclust.naive import EPS_GAIN
@@ -117,7 +117,7 @@ def block_eager(state, max_iter, monkeypatch):
         apply_swap(state, position, replacement)
 
     def counting_totals(state, J):
-        assert len(J) * len(state.matrix) <= max(fm.SCAN_BUDGET, len(state.matrix))
+        assert len(J) * len(state.matrix) <= max(core.SCAN_BUDGET, len(state.matrix))
         tail[0] += len(J)
         return block_totals(state, J)
 
@@ -176,7 +176,7 @@ def test_blocks_smaller_than_the_candidate_list(monkeypatch):
     mat = uniform_instance(60, seed=31)
     m0 = init_random(60, 4, seed=31)
     expected = fastmsc(mat, m0)
-    monkeypatch.setattr(fm, "SCAN_BUDGET", 3 * 60)
+    monkeypatch.setattr(core, "SCAN_BUDGET", 3 * 60)
     blocked = fastmsc(mat, m0)
     assert np.array_equal(blocked.medoids, expected.medoids)
     assert blocked.ams == expected.ams
@@ -187,7 +187,7 @@ def test_blocks_smaller_than_the_candidate_list(monkeypatch):
 def test_steepest_scan_picks_the_earliest_best_candidate(budget_rows, monkeypatch):
     # duplicate points have identical rows, hence exactly tied totals
     if budget_rows is not None:
-        monkeypatch.setattr(fm, "SCAN_BUDGET", budget_rows * 40)
+        monkeypatch.setattr(core, "SCAN_BUDGET", budget_rows * 40)
     for seed in range(6):
         mat = tied_instance(40, seed)
         state = make_state(mat, init_random(40, 4, seed=seed))
@@ -223,7 +223,7 @@ def test_eager_blocks_make_the_reference_swaps(kind, make, seed, max_iter,
     mat = make(n, seed + 100)
     m0 = init_random(n, 6, seed=seed)
     if budget_rows is not None:
-        monkeypatch.setattr(fm, "SCAN_BUDGET", budget_rows * n)
+        monkeypatch.setattr(core, "SCAN_BUDGET", budget_rows * n)
 
     ref_state = make_state(mat, m0)
     ref_converged, ref_made, ref_tail = reference_eager(ref_state, max_iter)
