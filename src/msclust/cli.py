@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .dynmsc import default_k_max, dynmsc, sweep_to_csv, sweep_to_json
+from .dynmsc import dynmsc, sweep_to_csv, sweep_to_json
 from .core import (
     InputError,
     MatrixError,
@@ -158,9 +158,7 @@ def cmd_cluster(args) -> int:
 def cmd_sweep(args) -> int:
     _require_at_least_one(max_iter=args.max_iter)
     matrix = _load_matrix(args)
-    n = len(matrix)
-    k_max = args.k_max if args.k_max is not None else default_k_max(n)
-    sweep = dynmsc(matrix, k_max=k_max, k_min=args.k_min,
+    sweep = dynmsc(matrix, k_max=args.k_max, k_min=args.k_min,
                    seed=args.seed, max_iter=args.max_iter)
     if args.format == "csv":
         text = sweep_to_csv(sweep)
@@ -182,6 +180,8 @@ def cmd_bench(args) -> int:
             raise ConfigError(f"unknown algorithm {a!r}")
     if not sizes or not ks or not algos:
         raise ConfigError("sizes, ks, and algorithms must be non-empty")
+    if min(sizes) < 3:
+        raise ConfigError(f"--sizes must be at least 3, got {min(sizes)}")
 
     lines = ["algo,n,k,seconds,swaps,iters"]
     for n in sizes:
@@ -221,6 +221,9 @@ def _time_cell(fn, matrix, m0, args):
 def cmd_eval(args) -> int:
     a = _load_labels(args.labels_a)
     b = _load_labels(args.labels_b)
+    if len(a) != len(b):
+        raise InputError(f"{args.labels_a} has {len(a)} labels, "
+                         f"{args.labels_b} has {len(b)}")
     payload = {"ari": ari(a, b), "nmi": nmi(a, b)}
     _emit(json.dumps(payload) + "\n", args.output)
     return 0
@@ -232,8 +235,8 @@ def _load_labels(path: str) -> list[str]:
             labels = [line.strip() for line in fh if line.strip()]
     except OSError as exc:
         raise InputError(str(exc)) from None
-    if not labels:
-        raise InputError(f"no labels in {path}")
+    if len(labels) < 2:
+        raise InputError(f"need at least 2 labels in {path}, got {len(labels)}")
     return labels
 
 
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
     except MatrixError as exc:
         print(f"msclust: matrix invariant violation: {exc}", file=sys.stderr)
         return EXIT_BAD_MATRIX
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"msclust: bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -26,6 +26,12 @@ METRICS = ("euclidean", "sq-euclidean", "manhattan")
 # distances per row block: 2**15 float64 values take 256 KiB
 SCAN_BUDGET = 1 << 15
 
+# minimum gain for a swap to count as a strict improvement; avoids
+# cycling on floating-point ties
+EPS_GAIN = 1e-12
+
+DEFAULT_MAX_ITER = 1000
+
 
 class MatrixError(ValueError):
     """The dissimilarity matrix violates a structural invariant."""

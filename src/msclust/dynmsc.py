@@ -11,31 +11,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ClusteringResult, MedoidError, check_matrix, init_random, nearest_three_all
-from .fastmsc import OptimizerState, _fastermsc_state, _refresh_derived, _rescan, make_state
-from .naive import DEFAULT_MAX_ITER
-
-
-@dataclass
-class KResult:
-    """One k of the sweep. swaps and iterations count the eager run at
-    this k only; converged is False when its pass budget ran out."""
-
-    k: int
-    ams: float
-    medoids: np.ndarray
-    converged: bool
-    swaps: int
-    iterations: int
+from .core import DEFAULT_MAX_ITER, ClusteringResult, MedoidError, check_matrix, init_random
+from .fastmsc import (OptimizerState, _fastermsc_state, _refresh_derived, _rescan, _result,
+                      make_state)
 
 
 @dataclass
 class SweepResult:
-    per_k: dict[int, KResult]
+    per_k: dict[int, ClusteringResult]
     best_k: int
     best: ClusteringResult
 
@@ -47,26 +34,19 @@ def default_k_max(n: int) -> int:
 def remove_medoid(state: OptimizerState, position: int) -> None:
     """Delete a medoid in place, keeping the neighbor cache warm.
 
-    Only points that had the removed medoid among their three nearest
-    are rescanned; the rest just remap their cached positions. Removal
-    losses are rebuilt afterward. Requires k >= 3 so the result still has
-    two medoids.
+    Points with the removed medoid within their d3 are rescanned (at
+    k == 3 every point, so top3 sets d3 = inf for k == 2); the rest just
+    remap their cached positions. Removal losses are rebuilt afterward.
+    Requires k >= 3 so the result still has two medoids.
     """
     if state.k < 3:
         raise MedoidError("cannot remove a medoid below k = 2")
     c = state.cache
-    removed = int(state.medoids[position])
-    drem = state.matrix[removed]
+    need = state.matrix[state.medoids[position]] <= c.d3
     state.medoids = np.delete(state.medoids, position)
-
-    # at k == 3 this is every point, so top3 sets d3 = inf for k == 2
-    need = (c.n1 == position) | (c.n2 == position) | (drem <= c.d3)
-    keep = ~need
-    c.n1[keep] -= (c.n1[keep] > position).astype(c.n1.dtype)
-    c.n2[keep] -= (c.n2[keep] > position).astype(c.n2.dtype)
-    idx = np.nonzero(need)[0]
-    if len(idx):
-        _rescan(state, idx)
+    c.n1 -= c.n1 > position
+    c.n2 -= c.n2 > position
+    _rescan(state, np.flatnonzero(need))
     _refresh_derived(state)
 
 
@@ -79,10 +59,10 @@ def dynmsc(
 ) -> SweepResult:
     """Descending-k sweep with warm-started eager optimization.
 
-    Returns per-k results for every k in [k_min, k_max] and the
-    argmax-AMS choice (ties toward smaller k). best.converged is the
-    chosen k's flag; best.swaps and best.iterations are totals over the
-    whole sweep.
+    Returns the eager run's result for every k in [k_min, k_max] and the
+    argmax-AMS choice (ties toward smaller k). best is the chosen k's
+    result, except that best.swaps and best.iterations are totals over
+    the whole sweep.
     """
     matrix = check_matrix(matrix)
     n = len(matrix)
@@ -93,32 +73,20 @@ def dynmsc(
                           f"k_min={k_min}, k_max={k_max}, n={n}")
 
     state = make_state(matrix, init_random(n, k_max, seed))
-    per_k: dict[int, KResult] = {}
+    per_k: dict[int, ClusteringResult] = {}
     for k in range(k_max, k_min - 1, -1):
-        swaps, iterations = state.swaps, state.iterations
+        state.swaps = state.iterations = 0
         converged = _fastermsc_state(state, max_iter)
-        per_k[k] = KResult(k=k, ams=state.ams_sum / n, medoids=state.medoids.copy(),
-                           converged=converged, swaps=state.swaps - swaps,
-                           iterations=state.iterations - iterations)
+        per_k[k] = _result(state, converged)
         if k > k_min:
             drop = int(np.argmax(state.removal_loss))
             remove_medoid(state, drop)
 
-    best_k = k_min
-    for k in sorted(per_k):
-        if per_k[k].ams > per_k[best_k].ams:
-            best_k = k
-
-    chosen = per_k[best_k]
-    labels = nearest_three_all(matrix, chosen.medoids).n1
-    best = ClusteringResult(
-        medoids=chosen.medoids,
-        labels=labels,
-        ams=chosen.ams,
-        asw=None,
-        swaps=state.swaps,
-        iterations=state.iterations,
-        converged=chosen.converged,
+    best_k = max(sorted(per_k), key=lambda k: per_k[k].ams)
+    best = replace(
+        per_k[best_k],
+        swaps=sum(r.swaps for r in per_k.values()),
+        iterations=sum(r.iterations for r in per_k.values()),
     )
     return SweepResult(per_k=per_k, best_k=best_k, best=best)
 

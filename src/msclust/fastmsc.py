@@ -3,9 +3,10 @@
 The key pieces:
 
 * ``OptimizerState``: the medoids and each point's neighbor cache.
-  ``_refresh_derived`` derives the removal losses (the change in the
-  silhouette sum if a medoid were deleted) from the cache, and
-  ``ams_sum`` the silhouette sum; nothing else computes them.
+  ``_refresh_derived`` alone derives the removal losses (the change in
+  the silhouette sum if a medoid were deleted) from the cache, and
+  ``ams_sum`` sums ``silhouette.medoid_widths`` over it, so the reported
+  AMS has the bits of a fresh ``ams(matrix, medoids)``.
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
@@ -35,6 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_MAX_ITER,
+    EPS_GAIN,
     ClusteringResult,
     NeighborCache,
     block_rows,
@@ -44,7 +47,14 @@ from .core import (
     safe_ratio_arr,
     top3,
 )
-from .naive import DEFAULT_MAX_ITER, EPS_GAIN, SwapCandidate
+from .silhouette import medoid_widths
+
+
+@dataclass(frozen=True)
+class SwapCandidate:
+    medoid_position: int
+    replacement: int
+    gain: float
 
 
 @dataclass
@@ -71,7 +81,7 @@ class OptimizerState:
     @property
     def ams_sum(self) -> float:
         """Unnormalized silhouette sum of the current medoids."""
-        return float(np.where(self.cache.d2 > 0, 1.0 - self.r12, 1.0).sum())
+        return float(medoid_widths(self.cache.d1, self.cache.d2).sum())
 
 
 def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
@@ -190,19 +200,15 @@ def update_caches_after_swap(state: OptimizerState, swapped_position: int,
     """Refresh the neighbor cache after medoids[swapped_position] was
     replaced (the new medoid is already in place).
 
-    Points keep their record untouched when neither the replaced nor the
-    new medoid can enter their three nearest; all others rescan the full
-    medoid set. Removal losses are rebuilt afterward.
+    A point rescans the full medoid set iff the replaced or the new
+    medoid is within its d3 (a replaced nearest or second nearest was at
+    d1 or d2 <= d3); the rest keep their records. Removal losses are
+    rebuilt afterward.
     """
-    c = state.cache
-    new_medoid = int(state.medoids[swapped_position])
-    dnew = state.matrix[new_medoid]
+    d3 = state.cache.d3
+    dnew = state.matrix[state.medoids[swapped_position]]
     dold = state.matrix[old_medoid]
-    need = (c.n1 == swapped_position) | (c.n2 == swapped_position)
-    need |= (dold <= c.d3) | (dnew <= c.d3)
-    idx = np.nonzero(need)[0]
-    if len(idx):
-        _rescan(state, idx)
+    _rescan(state, np.flatnonzero((dold <= d3) | (dnew <= d3)))
     _refresh_derived(state)
 
 
@@ -222,7 +228,7 @@ def _apply_swap(state: OptimizerState, position: int, replacement: int) -> None:
 
 def _result(state: OptimizerState, converged: bool) -> ClusteringResult:
     return ClusteringResult(
-        medoids=state.medoids,
+        medoids=state.medoids.copy(),
         labels=state.cache.n1.copy(),
         ams=state.ams_sum / len(state.matrix),
         asw=None,

@@ -13,35 +13,20 @@ wins, so runs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import ClusteringResult, check_matrix, check_medoids, nearest_three_all
-from .silhouette import ams, silhouette
-
-# minimum gain for a swap to count as a strict improvement; avoids
-# cycling on floating-point ties
-EPS_GAIN = 1e-12
-
-DEFAULT_MAX_ITER = 1000
-
-
-@dataclass(frozen=True)
-class SwapCandidate:
-    medoid_position: int
-    replacement: int
-    gain: float
+from .core import (DEFAULT_MAX_ITER, EPS_GAIN, ClusteringResult, check_matrix,
+                   check_medoids, nearest_three_all)
+from .fastmsc import SwapCandidate  # noqa: F401  (re-exported for callers)
+from .silhouette import ams, medoid_widths, silhouette
 
 
 def _ams_sum(matrix: np.ndarray, medoids: np.ndarray) -> float:
     """Unnormalized sum of Medoid Silhouette values."""
-    d = matrix[:, medoids]
-    part = np.partition(d, 1, axis=1)
-    d1, d2 = part[:, 0], part[:, 1]
-    s = np.where(d2 > 0, 1.0 - d1 / np.where(d2 > 0, d2, 1.0), 1.0)
-    return float(s.sum())
+    part = np.partition(matrix[:, medoids], 1, axis=1)
+    return float(medoid_widths(part[:, 0], part[:, 1]).sum())
 
 
 def _asw_sum(matrix: np.ndarray, medoids: np.ndarray) -> float:

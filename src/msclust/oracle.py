@@ -119,15 +119,6 @@ def recompute_delta(matrix, medoids, i: int, j: int) -> float:
     return float(after - before)
 
 
-def random_instance(n: int, seed: int) -> np.ndarray:
-    """Euclidean distances of n seeded uniform points in the unit
-    square; the documented generator for reproducible failures."""
-    from .core import build_matrix
-
-    rng = np.random.default_rng(seed)
-    return build_matrix(rng.random((n, 2)))
-
-
 def scale_matrix(matrix: np.ndarray, lam: float) -> np.ndarray:
     if lam <= 0:
         raise ValueError("scale factor must be positive")

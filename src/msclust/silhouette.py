@@ -59,15 +59,21 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     return _report(s)
 
 
+def medoid_widths(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Per-point Medoid Silhouette 1 - d1/d2 from the distances to the
+    two nearest medoids, or 1 when d1 = d2 = 0. Every AMS the package
+    reports is a sum of these."""
+    return np.where(d2 > 0, 1.0 - safe_ratio_arr(d1, d2), 1.0)
+
+
 def medoid_silhouette(matrix: np.ndarray, medoids) -> SilhouetteReport:
-    """Medoid Silhouette: s~_i = 1 - d1/d2, with s~ = 1 when d1 = d2 = 0.
+    """Medoid Silhouette of every point (see medoid_widths).
 
     The mean is the Average Medoid Silhouette (AMS).
     """
     medoids = check_medoids(medoids, len(matrix))
     cache = nearest_three_all(matrix, medoids)
-    s = np.where(cache.d2 > 0, 1.0 - safe_ratio_arr(cache.d1, cache.d2), 1.0)
-    return _report(s)
+    return _report(medoid_widths(cache.d1, cache.d2))
 
 
 def ams(matrix: np.ndarray, medoids) -> float:

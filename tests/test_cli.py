@@ -301,12 +301,38 @@ class TestExitCodes:
         (["--repeats", "0"], "--repeats"),
         (["--max-iter", "0"], "--max-iter"),
         (["--timeout", "-1"], "--timeout"),
+        (["--sizes", "-1"], "--sizes"),
+        (["--sizes", "0"], "--sizes"),
+        (["--sizes", "30,2"], "--sizes"),
     ])
     def test_bad_bench_budget_or_count(self, capsys, extra, flag):
         rc = main(["bench", "--sizes", "30", "--ks", "2"] + extra)
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid configuration" in err and flag in err
+
+    @pytest.mark.parametrize("a,b", [
+        (b"0\n0\n1\n", b"x\ny\n"),   # lengths differ
+        (b"0\n", b"x\n"),              # one label each
+        (b"0\n\xff\n1\n", b"x\ny\nz\n"),  # not UTF-8
+    ])
+    def test_bad_label_files(self, tmp_path, capsys, a, b):
+        (tmp_path / "a.txt").write_bytes(a)
+        (tmp_path / "b.txt").write_bytes(b)
+        rc = main(["eval", "--labels-a", str(tmp_path / "a.txt"),
+                   "--labels-b", str(tmp_path / "b.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("msclust: bad input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", [["cluster", "--k", "2"], ["sweep"]])
+    def test_non_utf8_csv(self, tmp_path, capsys, verb):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"0,0\n1,\xff\n3,4\n0,1\n")
+        rc = main(verb + ["--input", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("msclust: bad input: ") and err.count("\n") == 1
 
 
 def test_cli_import_loads_no_scipy():
