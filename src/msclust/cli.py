@@ -7,7 +7,9 @@ Verbs:
   eval     ARI/NMI between two label files
 
 cluster runs its restarts one after another and reports the best; among
-equal qualities the earliest restart wins.
+equal qualities the earliest restart wins. BUILD without --shuffle is
+deterministic, so it runs once. Each verb returns its output text; main
+alone writes it to --output or stdout and maps errors to exit codes.
 
 Exit codes: 0 success, 1 invalid configuration, 2 unreadable or
 malformed input, 3 dissimilarity-matrix invariant violation.
@@ -23,8 +25,9 @@ import time
 
 import numpy as np
 
-from .dynmsc import dynmsc, sweep_to_csv, sweep_to_json
+from .dynmsc import SweepResult, dynmsc
 from .core import (
+    DEFAULT_MAX_ITER,
     InputError,
     MatrixError,
     MedoidError,
@@ -69,10 +72,15 @@ def _load_matrix(args) -> np.ndarray:
     return build_matrix(points, metric=args.metric)
 
 
-def _require_at_least_one(**counts: int) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+def _require_at_least(least: float, **values: float) -> None:
+    for name, value in values.items():
+        if value < least:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+
+
+def _csv(header: str, rows) -> str:
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _run_once(matrix: np.ndarray, args, seed: int):
@@ -106,16 +114,14 @@ def _quality(result, algorithm: str) -> float:
     return result.asw if algorithm == "pamsil" else result.ams
 
 
-def cmd_cluster(args) -> int:
-    _require_at_least_one(restarts=args.restarts, max_iter=args.max_iter)
+def cmd_cluster(args) -> str:
+    _require_at_least(1, restarts=args.restarts, max_iter=args.max_iter)
+    _require_at_least(0, seed=args.seed)
     matrix = _load_matrix(args)
-    n = len(matrix)
-    if not 2 <= args.k < n:
-        raise ConfigError(f"need 2 <= k < n, got k={args.k}, n={n}")
 
-    seeds = [args.seed + r for r in range(args.restarts)]
+    restarts = args.restarts if args.shuffle or args.init == "random" else 1
     started = time.perf_counter()
-    results = [_run_once(matrix, args, s) for s in seeds]
+    results = [_run_once(matrix, args, args.seed + r) for r in range(restarts)]
     best = max(results, key=lambda r: _quality(r, args.algorithm))
     seconds = time.perf_counter() - started
 
@@ -146,32 +152,43 @@ def cmd_cluster(args) -> int:
             fh.write(plot_data_csv(rows))
 
     if args.format == "csv":
-        lines = ["point,label"]
-        lines.extend(f"{o},{int(l)}" for o, l in enumerate(best.labels))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(payload) + "\n"
-    _emit(text, args.output)
-    return 0
+        return _csv("point,label", enumerate(payload["labels"]))
+    return json.dumps(payload) + "\n"
 
 
-def cmd_sweep(args) -> int:
-    _require_at_least_one(max_iter=args.max_iter)
+def sweep_to_json(sweep: SweepResult) -> str:
+    """JSON serialization:
+    {"best_k": ..., "per_k": [{"k", "ams", "medoids", "converged"}]}."""
+    return json.dumps({
+        "best_k": sweep.best_k,
+        "per_k": [
+            {"k": k, "ams": sweep.per_k[k].ams,
+             "medoids": [int(m) for m in sweep.per_k[k].medoids],
+             "converged": sweep.per_k[k].converged}
+            for k in sorted(sweep.per_k)
+        ],
+    })
+
+
+def sweep_to_csv(sweep: SweepResult) -> str:
+    """CSV serialization with header k,ams, one row per swept k."""
+    return _csv("k,ams", ((k, sweep.per_k[k].ams) for k in sorted(sweep.per_k)))
+
+
+def cmd_sweep(args) -> str:
+    _require_at_least(1, max_iter=args.max_iter)
+    _require_at_least(0, seed=args.seed)
     matrix = _load_matrix(args)
     sweep = dynmsc(matrix, k_max=args.k_max, k_min=args.k_min,
                    seed=args.seed, max_iter=args.max_iter)
     if args.format == "csv":
-        text = sweep_to_csv(sweep)
-    else:
-        text = sweep_to_json(sweep) + "\n"
-    _emit(text, args.output)
-    return 0
+        return sweep_to_csv(sweep)
+    return sweep_to_json(sweep) + "\n"
 
 
-def cmd_bench(args) -> int:
-    _require_at_least_one(repeats=args.repeats, max_iter=args.max_iter)
-    if args.timeout < 0:
-        raise ConfigError(f"--timeout must not be negative, got {args.timeout}")
+def cmd_bench(args) -> str:
+    _require_at_least(1, repeats=args.repeats, max_iter=args.max_iter)
+    _require_at_least(0, seed=args.seed, timeout=args.timeout)
     sizes = _parse_int_list(args.sizes, "sizes")
     ks = _parse_int_list(args.ks, "ks")
     algos = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -180,53 +197,44 @@ def cmd_bench(args) -> int:
             raise ConfigError(f"unknown algorithm {a!r}")
     if not sizes or not ks or not algos:
         raise ConfigError("sizes, ks, and algorithms must be non-empty")
-    if min(sizes) < 3:
-        raise ConfigError(f"--sizes must be at least 3, got {min(sizes)}")
+    # every cell needs 2 <= k < n; checked before the first cell runs
+    _require_at_least(2, ks=min(ks))
+    _require_at_least(max(ks) + 1, sizes=min(sizes))
 
-    lines = ["algo,n,k,seconds,swaps,iters"]
+    rows = []
     for n in sizes:
         rng = np.random.default_rng(args.seed + n)
         matrix = build_matrix(rng.random((n, 2)))
         for k in ks:
-            if k >= n:
-                raise ConfigError(f"bench cell k={k} >= n={n}")
             m0 = init_random(n, k, args.seed)
             for algo in algos:
-                timed = _time_cell(ALGORITHMS[algo], matrix, m0, args)
-                if timed is None:
-                    lines.append(f"{algo},{n},{k},timeout,,")
-                else:
-                    med, result = timed
-                    lines.append(f"{algo},{n},{k},{med!r},"
-                                 f"{result.swaps},{result.iterations}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+                rows.append((algo, n, k, *_time_cell(ALGORITHMS[algo], matrix, m0, args)))
+    return _csv("algo,n,k,seconds,swaps,iters", rows)
 
 
 def _time_cell(fn, matrix, m0, args):
-    """(median seconds of the timed repeats, last result), or None as soon
-    as the untimed warm-up or any repeat exceeds args.timeout."""
-    times, result = [], None
+    """The cell's seconds, swaps and iters: the median of the timed repeats
+    and the last run's counts, or timeout as soon as the untimed warm-up or
+    any repeat exceeds args.timeout."""
+    times = []
     for run in range(args.repeats + 1):  # run 0 is the warm-up
         t0 = time.perf_counter()
         result = fn(matrix, m0, max_iter=args.max_iter)
         elapsed = time.perf_counter() - t0
         if args.timeout and elapsed > args.timeout:
-            return None
+            return "timeout", "", ""
         if run:
             times.append(elapsed)
-    return statistics.median(times), result
+    return statistics.median(times), result.swaps, result.iterations
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> str:
     a = _load_labels(args.labels_a)
     b = _load_labels(args.labels_b)
     if len(a) != len(b):
         raise InputError(f"{args.labels_a} has {len(a)} labels, "
                          f"{args.labels_b} has {len(b)}")
-    payload = {"ari": ari(a, b), "nmi": nmi(a, b)}
-    _emit(json.dumps(payload) + "\n", args.output)
-    return 0
+    return json.dumps({"ari": ari(a, b), "nmi": nmi(a, b)}) + "\n"
 
 
 def _load_labels(path: str) -> list[str]:
@@ -247,14 +255,6 @@ def _parse_int_list(text: str, name: str) -> list[int]:
         raise ConfigError(f"{name} must be comma-separated integers") from None
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _add_input_args(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="input CSV file")
     p.add_argument("--kind", choices=("matrix", "points"), default="points",
@@ -262,7 +262,7 @@ def _add_input_args(p: _Parser) -> None:
     p.add_argument("--metric", choices=METRICS, default="euclidean",
                    help="metric for points input")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--output", "-o", help="output path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -278,7 +278,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--init", choices=("random", "build"), default="random")
     p.add_argument("--restarts", type=int, default=10,
-                   help="restarts with seeds seed..seed+restarts-1; best kept")
+                   help="restarts with seeds seed..seed+restarts-1; best kept "
+                        "(one run for --init build without --shuffle)")
     p.add_argument("--shuffle", action="store_true",
                    help="seeded shuffle of the point order before clustering")
     p.add_argument("--asw", action="store_true",
@@ -302,7 +303,7 @@ def build_parser() -> _Parser:
                    help="per-run budget in seconds, warm-up included; "
                         "exceeded cells are marked timeout and the grid continues")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--output", "-o")
     p.set_defaults(fn=cmd_bench)
 
@@ -319,7 +320,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        text = args.fn(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ConfigError, MedoidError) as exc:
         print(f"msclust: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -329,6 +335,7 @@ def main(argv=None) -> int:
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"msclust: bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    return 0
 
 
 if __name__ == "__main__":

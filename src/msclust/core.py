@@ -236,25 +236,23 @@ def _is_float(token: str) -> bool:
 
 def _parse_csv_rows(path: str) -> list[list[float]]:
     rows: list[list[float]] = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            tokens = [t.strip() for t in line.split(",")]
+            # float() ignores the whitespace around each token
+            tokens = line.split(",")
             try:
                 row = [float(t) for t in tokens]
             except ValueError as exc:
                 # an optional header precedes the data and has no numeric token
-                if width is None and not any(map(_is_float, tokens)):
+                if not rows and not any(map(_is_float, tokens)):
                     continue
                 raise InputError(f"row {lineno}: non-numeric value ({exc})") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if rows and len(row) != len(rows[0]):
                 raise InputError(
-                    f"row {lineno}: expected {width} columns, got {len(row)}"
+                    f"row {lineno}: expected {len(rows[0])} columns, got {len(row)}"
                 )
             rows.append(row)
     if not rows:

@@ -9,7 +9,6 @@ go to the smaller k.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -89,25 +88,3 @@ def dynmsc(
         iterations=sum(r.iterations for r in per_k.values()),
     )
     return SweepResult(per_k=per_k, best_k=best_k, best=best)
-
-
-def sweep_to_json(sweep: SweepResult) -> str:
-    """JSON serialization:
-    {"best_k": ..., "per_k": [{"k", "ams", "medoids", "converged"}]}."""
-    payload = {
-        "best_k": sweep.best_k,
-        "per_k": [
-            {"k": k, "ams": sweep.per_k[k].ams,
-             "medoids": [int(m) for m in sweep.per_k[k].medoids],
-             "converged": sweep.per_k[k].converged}
-            for k in sorted(sweep.per_k)
-        ],
-    }
-    return json.dumps(payload)
-
-
-def sweep_to_csv(sweep: SweepResult) -> str:
-    """CSV serialization with header k,ams, one row per swept k."""
-    lines = ["k,ams"]
-    lines.extend(f"{k},{sweep.per_k[k].ams!r}" for k in sorted(sweep.per_k))
-    return "\n".join(lines) + "\n"

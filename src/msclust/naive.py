@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (DEFAULT_MAX_ITER, EPS_GAIN, ClusteringResult, check_matrix,
                    check_medoids, nearest_three_all)
-from .fastmsc import SwapCandidate  # noqa: F401  (re-exported for callers)
 from .silhouette import ams, medoid_widths, silhouette
 
 

@@ -157,12 +157,8 @@ def richness_matrix(n: int, target_medoids) -> np.ndarray:
     target = np.asarray(target_medoids, dtype=np.intp)
     m = np.ones((n, n))
     np.fill_diagonal(m, 0.0)
-    first = target[0]
-    is_medoid = np.zeros(n, dtype=bool)
-    is_medoid[target] = True
-    for j in range(n):
-        if not is_medoid[j]:
-            m[first, j] = m[j, first] = 0.0
+    rest = np.setdiff1d(np.arange(n), target)
+    m[target[0], rest] = m[rest, target[0]] = 0.0
     return m
 
 

@@ -53,10 +53,7 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     means[rows, idx] = np.inf  # exclude own cluster from b
     b = means.min(axis=1)
 
-    denom = np.maximum(a, b)
-    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-    s = np.where(own_count == 1, 0.0, s)
-    return _report(s)
+    return _report(np.where(own_count > 1, safe_ratio_arr(b - a, np.maximum(a, b)), 0.0))
 
 
 def medoid_widths(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:

@@ -153,6 +153,28 @@ class TestCluster:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ams"] == pytest.approx(0.95)
 
+    @pytest.mark.parametrize("extra,calls", [
+        ([], 1),  # every BUILD restart would repeat the same run
+        (["--shuffle"], 5),
+    ])
+    def test_build_init_runs_once_unless_shuffled(self, line_csv, monkeypatch, capsys,
+                                                  extra, calls):
+        import msclust.cli as cli
+
+        seen = []
+        real = cli.ALGORITHMS["fastmsc"]
+
+        def counting(matrix, medoids, max_iter):
+            seen.append(1)
+            return real(matrix, medoids, max_iter=max_iter)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "fastmsc", counting)
+        rc = main(["cluster", "--input", line_csv, "--k", "2", "--algorithm", "fastmsc",
+                   "--init", "build", "--restarts", "5", *extra])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["ams"] == pytest.approx(0.95)
+        assert len(seen) == calls
+
     def test_matrix_kind(self, tmp_path, capsys):
         from msclust import build_matrix
 
@@ -229,6 +251,26 @@ class TestBench:
         assert lines[1] == "slow,30,2,timeout,,"
         assert len(calls) == 1  # the warm-up ran, no timed repeat did
 
+    @pytest.mark.parametrize("sizes,ks", [("50,5", "10"), ("30", "1")])
+    def test_bad_k_fails_before_any_cell(self, monkeypatch, capsys, sizes, ks):
+        import msclust.cli as cli
+
+        calls = []
+
+        def counting(matrix, medoids, max_iter):
+            calls.append(1)
+            return cli.ALGORITHMS["fastmsc"](matrix, medoids, max_iter=max_iter)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "counting", counting)
+        rc = main(["bench", "--sizes", sizes, "--ks", ks, "--algorithms", "counting",
+                   "--repeats", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("msclust: invalid configuration: --")
+        assert captured.err.count("\n") == 1
+        assert calls == []
+
     def test_unknown_algorithm(self, capsys):
         rc = main(["bench", "--sizes", "30", "--ks", "2",
                    "--algorithms", "nosuch"])
@@ -290,6 +332,8 @@ class TestExitCodes:
         (["cluster", "--k", "2", "--max-iter", "0"], "--max-iter"),
         (["cluster", "--k", "2", "--algorithm", "fastmsc", "--max-iter", "-5"], "--max-iter"),
         (["sweep", "--k-max", "3", "--max-iter", "0"], "--max-iter"),
+        (["cluster", "--k", "2", "--seed", "-3"], "--seed"),
+        (["sweep", "--seed", "-3"], "--seed"),
     ])
     def test_bad_budget_or_count(self, line_csv, capsys, argv, flag):
         rc = main(argv + ["--input", line_csv])
@@ -304,6 +348,7 @@ class TestExitCodes:
         (["--sizes", "-1"], "--sizes"),
         (["--sizes", "0"], "--sizes"),
         (["--sizes", "30,2"], "--sizes"),
+        (["--seed", "-9"], "--seed"),
     ])
     def test_bad_bench_budget_or_count(self, capsys, extra, flag):
         rc = main(["bench", "--sizes", "30", "--ks", "2"] + extra)

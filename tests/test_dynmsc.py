@@ -11,7 +11,8 @@ from msclust import (
     init_random,
     medoid_silhouette,
 )
-from msclust.dynmsc import default_k_max, remove_medoid, sweep_to_csv, sweep_to_json
+from msclust.cli import sweep_to_csv, sweep_to_json
+from msclust.dynmsc import default_k_max, remove_medoid
 from msclust.fastmsc import make_state
 
 from helpers import blob_matrix, line_matrix, uniform_instance

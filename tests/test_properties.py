@@ -150,5 +150,7 @@ def test_cli_counts_never_traceback(points_csv, data):
             argv += ["--k-max", data.draw(COUNT)]
     else:
         argv = ["bench", "--sizes", data.draw(COUNT_LIST), "--ks", data.draw(COUNT_LIST),
-                "--max-iter", data.draw(COUNT), "--repeats", "1"]
+                "--max-iter", data.draw(COUNT), "--repeats", "1",
+                "--timeout", data.draw(COUNT)]
+    argv += ["--seed", data.draw(COUNT)]
     assert run_cli(argv) in (0, 1)
