@@ -33,6 +33,7 @@ from .core import (
     MedoidError,
     METRICS,
     build_matrix,
+    csv_text,
     init_build,
     init_random,
     load_matrix_csv,
@@ -74,13 +75,8 @@ def _load_matrix(args) -> np.ndarray:
 
 def _require_at_least(least: float, **values: float) -> None:
     for name, value in values.items():
-        if value < least:
+        if not value >= least:  # so NaN fails too
             raise ConfigError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
-
-
-def _csv(header: str, rows) -> str:
-    lines = [header, *(",".join(map(str, row)) for row in rows)]
-    return "\n".join(lines) + "\n"
 
 
 def _run_once(matrix: np.ndarray, args, seed: int):
@@ -152,7 +148,7 @@ def cmd_cluster(args) -> str:
             fh.write(plot_data_csv(rows))
 
     if args.format == "csv":
-        return _csv("point,label", enumerate(payload["labels"]))
+        return csv_text("point,label", enumerate(payload["labels"]))
     return json.dumps(payload) + "\n"
 
 
@@ -172,7 +168,7 @@ def sweep_to_json(sweep: SweepResult) -> str:
 
 def sweep_to_csv(sweep: SweepResult) -> str:
     """CSV serialization with header k,ams, one row per swept k."""
-    return _csv("k,ams", ((k, sweep.per_k[k].ams) for k in sorted(sweep.per_k)))
+    return csv_text("k,ams", ((k, sweep.per_k[k].ams) for k in sorted(sweep.per_k)))
 
 
 def cmd_sweep(args) -> str:
@@ -209,7 +205,7 @@ def cmd_bench(args) -> str:
             m0 = init_random(n, k, args.seed)
             for algo in algos:
                 rows.append((algo, n, k, *_time_cell(ALGORITHMS[algo], matrix, m0, args)))
-    return _csv("algo,n,k,seconds,swaps,iters", rows)
+    return csv_text("algo,n,k,seconds,swaps,iters", rows)
 
 
 def _time_cell(fn, matrix, m0, args):
@@ -238,11 +234,8 @@ def cmd_eval(args) -> str:
 
 
 def _load_labels(path: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            labels = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        labels = [line.strip() for line in fh if line.strip()]
     if len(labels) < 2:
         raise InputError(f"need at least 2 labels in {path}, got {len(labels)}")
     return labels

@@ -226,6 +226,12 @@ class ClusteringResult:
     converged: bool
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then each row's str() values joined by commas."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -236,7 +242,7 @@ def _is_float(token: str) -> bool:
 
 def _parse_csv_rows(path: str) -> list[list[float]]:
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DEFAULT_MAX_ITER, ClusteringResult, MedoidError, check_matrix, init_random
-from .fastmsc import (OptimizerState, _fastermsc_state, _refresh_derived, _rescan, _result,
-                      make_state)
+from .fastmsc import OptimizerState, _fastermsc_state, _rescan, _result, make_state
 
 
 @dataclass
@@ -35,7 +34,7 @@ def remove_medoid(state: OptimizerState, position: int) -> None:
 
     Points with the removed medoid within their d3 are rescanned (at
     k == 3 every point, so top3 sets d3 = inf for k == 2); the rest just
-    remap their cached positions. Removal losses are rebuilt afterward.
+    remap their cached positions; the rescan rebuilds the removal losses.
     Requires k >= 3 so the result still has two medoids.
     """
     if state.k < 3:
@@ -46,7 +45,6 @@ def remove_medoid(state: OptimizerState, position: int) -> None:
     c.n1 -= c.n1 > position
     c.n2 -= c.n2 > position
     _rescan(state, np.flatnonzero(need))
-    _refresh_derived(state)
 
 
 def dynmsc(

@@ -2,11 +2,11 @@
 
 The key pieces:
 
-* ``OptimizerState``: the medoids and each point's neighbor cache.
-  ``_refresh_derived`` alone derives the removal losses (the change in
-  the silhouette sum if a medoid were deleted) from the cache, and
-  ``ams_sum`` sums ``silhouette.medoid_widths`` over it, so the reported
-  AMS has the bits of a fresh ``ams(matrix, medoids)``.
+* ``OptimizerState``: the medoids and each point's neighbor cache. Every
+  ``_rescan`` (after a swap or a removal) ends in ``_refresh_derived``,
+  which alone derives the removal losses (the change in the silhouette
+  sum if a medoid were deleted); ``ams_sum`` sums ``medoid_widths`` over
+  the cache, so the reported AMS has the bits of ``ams(matrix, medoids)``.
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
@@ -15,8 +15,8 @@ The key pieces:
   = 2**15 distances, so each of its temporaries is at most 256 KiB
   whatever n is.
 * ``find_best_swap``: one O((n-k) n) pass over all non-medoids in blocks.
-* ``fastmsc``: steepest descent on these accumulators; returns results
-  identical to the naive pammedsil under the shared tie-break rules.
+* ``fastmsc``: steepest descent, each swap one ``update_caches_after_swap``
+  call; identical to the naive pammedsil under the shared tie-breaks.
 * ``fastermsc``: eager first-descent variant that applies every
   improving swap immediately while cycling over candidates. Each block
   is scored speculatively against the current medoids and its first
@@ -195,35 +195,28 @@ def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
     return best
 
 
-def update_caches_after_swap(state: OptimizerState, swapped_position: int,
-                             old_medoid: int) -> None:
-    """Refresh the neighbor cache after medoids[swapped_position] was
-    replaced (the new medoid is already in place).
+def update_caches_after_swap(state: OptimizerState, position: int, replacement: int) -> None:
+    """Swap medoids[position] for replacement, refresh the neighbor
+    cache and count the swap.
 
     A point rescans the full medoid set iff the replaced or the new
     medoid is within its d3 (a replaced nearest or second nearest was at
-    d1 or d2 <= d3); the rest keep their records. Removal losses are
-    rebuilt afterward.
+    d1 or d2 <= d3); the rest keep their records.
     """
     d3 = state.cache.d3
-    dnew = state.matrix[state.medoids[swapped_position]]
-    dold = state.matrix[old_medoid]
-    _rescan(state, np.flatnonzero((dold <= d3) | (dnew <= d3)))
-    _refresh_derived(state)
+    near = (state.matrix[state.medoids[position]] <= d3) | (state.matrix[replacement] <= d3)
+    state.medoids[position] = replacement
+    _rescan(state, np.flatnonzero(near))
+    state.swaps += 1
 
 
 def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
-    """Recompute the neighbor records of the points in idx."""
+    """Recompute the neighbor records of the points in idx, then what is
+    derived from the cache."""
     t = top3(state.matrix[np.ix_(idx, state.medoids)])
     c = state.cache
     c.n1[idx], c.n2[idx], c.d1[idx], c.d2[idx], c.d3[idx] = t.n1, t.n2, t.d1, t.d2, t.d3
-
-
-def _apply_swap(state: OptimizerState, position: int, replacement: int) -> None:
-    old = int(state.medoids[position])
-    state.medoids[position] = replacement
-    update_caches_after_swap(state, position, old)
-    state.swaps += 1
+    _refresh_derived(state)
 
 
 def _result(state: OptimizerState, converged: bool) -> ClusteringResult:
@@ -241,9 +234,9 @@ def _result(state: OptimizerState, converged: bool) -> ClusteringResult:
 def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResult:
     """Steepest-descent AMS optimization with incremental swap gains.
 
-    Applies find_best_swap until no strictly-improving swap remains,
-    refreshing caches after each swap. From the same starting medoids it
-    returns the identical medoid set and AMS as pammedsil.
+    Applies find_best_swap's swap until no strictly-improving swap
+    remains. From the same starting medoids it returns the identical
+    medoid set and AMS as pammedsil.
     """
     state = make_state(matrix, medoids)
     converged = False
@@ -253,7 +246,7 @@ def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResu
         if cand is None:
             converged = True
             break
-        _apply_swap(state, cand.medoid_position, cand.replacement)
+        update_caches_after_swap(state, cand.medoid_position, cand.replacement)
     return _result(state, converged)
 
 
@@ -313,7 +306,7 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
         i, j = int(pos[h]), int(J[h])
         is_medoid[state.medoids[i]] = False
         is_medoid[j] = True
-        _apply_swap(state, i, j)
+        update_caches_after_swap(state, i, j)
         width = 1
         visited = 1
         j += 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_medoids, nearest_three_all, safe_ratio_arr
+from .core import check_medoids, csv_text, nearest_three_all, safe_ratio_arr
 
 
 @dataclass
@@ -84,15 +84,11 @@ def silhouette_plot_data(report: SilhouetteReport, labels) -> list[tuple[int, in
     labels = np.asarray(labels)
     if len(labels) != len(report.per_point):
         raise ValueError("labels and report lengths differ")
-    rows = []
-    for o in range(len(labels)):
-        rows.append((int(labels[o]), o, float(report.per_point[o])))
-    rows.sort(key=lambda r: (r[0], -r[2], r[1]))
-    return rows
+    widths = report.per_point
+    order = np.lexsort((np.arange(len(labels)), -widths, labels))
+    return [(int(labels[o]), int(o), float(widths[o])) for o in order]
 
 
 def plot_data_csv(rows: list[tuple[int, int, float]]) -> str:
     """Serialize plot rows to CSV with header label,point,width."""
-    lines = ["label,point,width"]
-    lines.extend(f"{lab},{pt},{w!r}" for lab, pt, w in rows)
-    return "\n".join(lines) + "\n"
+    return csv_text("label,point,width", rows)

@@ -150,9 +150,7 @@ class TestAcceptance:
                     break
                 if cand.gain <= 0:
                     ok = False
-                old = int(state.medoids[cand.medoid_position])
-                state.medoids[cand.medoid_position] = cand.replacement
-                update_caches_after_swap(state, cand.medoid_position, old)
+                update_caches_after_swap(state, cand.medoid_position, cand.replacement)
                 if state.ams_sum < prev:
                     ok = False
                 prev = state.ams_sum

@@ -192,6 +192,21 @@ class TestCluster:
         payload = json.loads(out.read_text())
         assert payload["ams"] == pytest.approx(0.95)
 
+    @pytest.mark.parametrize("kind", ["points", "matrix"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, kind):
+        # Excel and PowerShell start UTF-8 files with a byte-order mark
+        rows = LINE_POINTS if kind == "points" else build_matrix(LINE_POINTS).tolist()
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_points(plain, rows)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for path in (plain, bom):
+            assert main(["cluster", "--input", str(path), "--kind", kind, "--k", "2"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            del payload["seconds"]
+            outs.append(payload)
+        assert outs[0] == outs[1]
+
 
 class TestSweep:
     def test_blobs_pick_four(self, tmp_path, capsys):
@@ -289,6 +304,17 @@ class TestEval:
         assert payload["ari"] == 1.0
         assert payload["nmi"] == pytest.approx(1.0)
 
+    def test_byte_order_mark_is_not_a_label(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_bytes(b"\xef\xbb\xbfa\na\nb\nb\n")
+        b.write_bytes(b"a\na\nb\nb\n")
+        rc = main(["eval", "--labels-a", str(a), "--labels-b", str(b)])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ari"] == 1.0
+        assert payload["nmi"] == pytest.approx(1.0)
+
 
 class TestExitCodes:
     def test_bad_config_unknown_flag(self, line_csv):
@@ -349,6 +375,7 @@ class TestExitCodes:
         (["--sizes", "0"], "--sizes"),
         (["--sizes", "30,2"], "--sizes"),
         (["--seed", "-9"], "--seed"),
+        (["--timeout", "nan"], "--timeout"),
     ])
     def test_bad_bench_budget_or_count(self, capsys, extra, flag):
         rc = main(["bench", "--sizes", "30", "--ks", "2"] + extra)

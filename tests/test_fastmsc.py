@@ -208,18 +208,15 @@ class TestCacheUpdates:
         mat = build_matrix(pts)
         state = make_state(mat, [0, 3, 5])
         before_d1 = state.cache.d1.copy()
-        state.medoids[2] = 6
-        update_caches_after_swap(state, 2, 5)
+        update_caches_after_swap(state, 2, 6)
         assert_cache_consistent(state)
         assert state.cache.d1[:3] == pytest.approx(before_d1[:3])
 
     def test_rescan_when_nearest_replaced(self):
         mat = uniform_instance(25, seed=20)
         state = make_state(mat, init_random(25, 4, seed=20))
-        old = int(state.medoids[1])
         new = next(j for j in range(25) if j not in set(state.medoids.tolist()))
-        state.medoids[1] = new
-        update_caches_after_swap(state, 1, old)
+        update_caches_after_swap(state, 1, new)
         assert_cache_consistent(state)
 
     def test_audit_along_full_run(self):
@@ -229,9 +226,7 @@ class TestCacheUpdates:
             cand = find_best_swap(state)
             if cand is None:
                 break
-            old = int(state.medoids[cand.medoid_position])
-            state.medoids[cand.medoid_position] = cand.replacement
-            update_caches_after_swap(state, cand.medoid_position, old)
+            update_caches_after_swap(state, cand.medoid_position, cand.replacement)
             assert_cache_consistent(state)
             assert state.removal_loss == pytest.approx(
                 make_state(mat, state.medoids).removal_loss, abs=1e-9

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from msclust import ams, dynmsc, fastermsc, fastmsc, init_random, nearest_three_all, pammedsil
 from msclust.cli import main
 from msclust.dynmsc import remove_medoid
-from msclust.fastmsc import _apply_swap, make_state
+from msclust.fastmsc import make_state, update_caches_after_swap
 
 SETTINGS = settings(deadline=None, max_examples=100)
 
@@ -92,7 +92,8 @@ def test_cache_stays_fresh_after_swaps_and_removals(inst, data):
     for _ in range(data.draw(st.integers(1, 6))):
         non_medoids = np.setdiff1d(np.arange(n), state.medoids)
         position = data.draw(st.integers(0, state.k - 1))
-        _apply_swap(state, position, int(data.draw(st.sampled_from(non_medoids))))
+        update_caches_after_swap(state, position,
+                                 int(data.draw(st.sampled_from(non_medoids))))
         assert_cache_is_fresh(state)
     while state.k > 2:
         remove_medoid(state, data.draw(st.integers(0, state.k - 1)))
@@ -113,17 +114,21 @@ def test_fastmsc_equals_pammedsil_on_tie_free_input(n, seed, data):
     assert fast.swaps == slow.swaps
 
 
+N_POINTS = 12
+
+
 @pytest.fixture(scope="module")
 def points_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("props") / "points.csv"
     rng = np.random.default_rng(0)
-    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rng.random((12, 2)).tolist()))
+    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rng.random((N_POINTS, 2)).tolist()))
     return str(path)
 
 
-COUNT = st.integers(-3, 14).map(str)
-COUNT_LIST = st.lists(st.integers(-3, 14), min_size=1, max_size=2).map(
-    lambda v: ",".join(map(str, v)))
+def out_of_range(low, high=None):
+    """Integers just below low, or just above high if there is one."""
+    below = st.integers(low - 3, low - 1)
+    return below if high is None else below | st.integers(high + 1, high + 3)
 
 
 def run_cli(argv) -> int:
@@ -136,21 +141,55 @@ def run_cli(argv) -> int:
             return exc.code
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_cli_counts_never_traceback(points_csv, data):
+    """Every flag is drawn from its valid range except at most one, which
+    is drawn just outside it, so each range check is reached: the call
+    exits 0 with every flag in range and 1 with one out of range."""
     verb = data.draw(st.sampled_from(["cluster", "sweep", "bench"]))
+    flags = {"cluster": ["--k", "--restarts"], "sweep": ["--k-min", "--k-max"],
+             "bench": ["--ks", "--sizes", "--repeats", "--timeout"]}[verb]
+    bad = data.draw(st.sampled_from([None, "--max-iter", "--seed", *flags]))
+    argv = [verb] if verb == "bench" else [verb, "--input", points_csv]
+
+    def pick(flag, low, high=None, cap=None):
+        """Draw flag's value from [low, high] (or [low, cap] if it has no
+        upper end), or outside that range if flag is the bad one."""
+        if flag == bad:
+            value = data.draw(out_of_range(low, high))
+        else:
+            value = data.draw(st.integers(low, cap if high is None else high))
+        argv.extend([flag, str(value)])
+        return value
+
+    def pick_list(flag, low, high):
+        values = data.draw(st.lists(st.integers(low, high), min_size=1, max_size=2))
+        if flag == bad:
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(out_of_range(low))
+        argv.extend([flag, ",".join(map(str, values))])
+        return values
+
+    top = N_POINTS - 1  # the largest k, and sweep's default --k-max
     if verb == "cluster":
-        argv = ["cluster", "--input", points_csv, "--k", data.draw(COUNT),
-                "--restarts", data.draw(COUNT), "--max-iter", data.draw(COUNT)]
+        pick("--k", 2, top)
+        pick("--restarts", 1, cap=3)
     elif verb == "sweep":
-        argv = ["sweep", "--input", points_csv, "--k-min", data.draw(COUNT),
-                "--max-iter", data.draw(COUNT)]
-        if data.draw(st.booleans()):
-            argv += ["--k-max", data.draw(COUNT)]
+        if bad == "--k-min":
+            pick("--k-min", 2, pick("--k-max", 2, top) if data.draw(st.booleans()) else top)
+        else:
+            k_min = pick("--k-min", 2, top)
+            if bad == "--k-max" or data.draw(st.booleans()):
+                pick("--k-max", k_min, top)
     else:
-        argv = ["bench", "--sizes", data.draw(COUNT_LIST), "--ks", data.draw(COUNT_LIST),
-                "--max-iter", data.draw(COUNT), "--repeats", "1",
-                "--timeout", data.draw(COUNT)]
-    argv += ["--seed", data.draw(COUNT)]
-    assert run_cli(argv) in (0, 1)
+        ks = pick_list("--ks", 2, 5)
+        pick_list("--sizes", max(ks) + 1, max(ks) + 4)
+        pick("--repeats", 1, cap=2)
+        if bad == "--timeout":
+            timeout = data.draw(st.sampled_from(["nan", "-1", "-0.5"]))
+        else:
+            timeout = repr(data.draw(st.floats(0, 14)))
+        argv += ["--timeout", timeout]
+    pick("--max-iter", 1, cap=14)
+    pick("--seed", 0, cap=2**16)
+    assert run_cli(argv) == (0 if bad is None else 1)

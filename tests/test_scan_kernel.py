@@ -94,7 +94,7 @@ def reference_eager(state, max_iter):
             if total > EPS_GAIN:
                 is_medoid[state.medoids[i]] = False
                 is_medoid[j] = True
-                fm._apply_swap(state, i, j)
+                fm.update_caches_after_swap(state, i, j)
                 made.append((i, j))
                 tail = 0
                 x_last = j
@@ -109,7 +109,7 @@ def block_eager(state, max_iter, monkeypatch):
     how many candidates it scores after the last one."""
     made = []
     tail = [0]
-    apply_swap, block_totals = fm._apply_swap, fm.block_totals
+    apply_swap, block_totals = fm.update_caches_after_swap, fm.block_totals
 
     def recording_swap(state, position, replacement):
         made.append((position, replacement))
@@ -122,7 +122,7 @@ def block_eager(state, max_iter, monkeypatch):
         return block_totals(state, J)
 
     with monkeypatch.context() as mp:
-        mp.setattr(fm, "_apply_swap", recording_swap)
+        mp.setattr(fm, "update_caches_after_swap", recording_swap)
         mp.setattr(fm, "block_totals", counting_totals)
         converged = fm._fastermsc_state(state, max_iter)
     return converged, made, tail[0]

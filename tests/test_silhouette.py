@@ -11,7 +11,7 @@ from msclust import (
     silhouette_plot_data,
 )
 from msclust.core import nearest_three_all
-from msclust.silhouette import plot_data_csv
+from msclust.silhouette import SilhouetteReport, plot_data_csv
 
 from helpers import uniform_instance
 
@@ -154,6 +154,22 @@ class TestPlotData:
         rows = silhouette_plot_data(rep, [0, 0, 1, 1])
         assert [lab for lab, _, _ in rows] == [0, 0, 1, 1]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_tied_widths_keep_label_width_index_order(self, seed):
+        # ties within and across labels, with -0.0 beside 0.0
+        if seed is None:
+            widths = np.array([0.5, 0.0, -0.0, 0.5, -0.25, 0.0, 1.0, -0.0, 0.5, -0.25])
+            labels = [1, 0, 1, 0, 1, 1, 0, 0, 1, 0]
+        else:
+            rng = np.random.default_rng(seed)
+            widths = rng.choice([-0.0, 0.0, 0.5, -0.25, 1.0], size=40)
+            labels = rng.integers(0, 3, size=40).tolist()
+        rows = silhouette_plot_data(SilhouetteReport(widths, float(widths.mean())), labels)
+        expected = sorted(((lab, o, float(w)) for o, (lab, w) in enumerate(zip(labels, widths))),
+                          key=lambda r: (r[0], -r[2], r[1]))
+        # repr tells -0.0 from 0.0 and a numpy scalar from a Python one
+        assert list(map(repr, rows)) == list(map(repr, expected))
 
     def test_length_mismatch(self, line):
         rep = medoid_silhouette(line, [0, 2])
