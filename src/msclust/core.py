@@ -42,7 +42,7 @@ class MedoidError(ValueError):
 
 
 class InputError(ValueError):
-    """Malformed input file (bad row, ragged data, non-numeric token)."""
+    """Malformed input: a bad file row, bad points, labels or metric."""
 
 
 def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,7 +108,7 @@ def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
     scipy's ``squareform(pdist(...))`` bit for bit.
     """
     if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}, choose from {METRICS}")
+        raise InputError(f"unknown metric {metric!r}, choose from {METRICS}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import InputError
+
 
 def contingency_table(labels_a, labels_b) -> np.ndarray:
     """r x c co-occurrence counts of two equal-length labelings."""
     a = np.asarray(labels_a).ravel()
     b = np.asarray(labels_b).ravel()
     if len(a) != len(b):
-        raise ValueError(f"label lengths differ: {len(a)} vs {len(b)}")
+        raise InputError(f"label lengths differ: {len(a)} vs {len(b)}")
     if len(a) < 2:
-        raise ValueError("need at least 2 samples")
+        raise InputError("need at least 2 samples")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     r = ai.max() + 1

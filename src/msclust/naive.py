@@ -30,8 +30,10 @@ def _ams_sum(matrix: np.ndarray, medoids: np.ndarray) -> float:
 
 def _asw_sum(matrix: np.ndarray, medoids: np.ndarray) -> float:
     """Unnormalized sum of full Silhouette values under nearest-medoid
-    assignment (ties toward the lower medoid position)."""
+    assignment (lowest position wins ties); -inf if only one cluster."""
     labels = np.argmin(matrix[:, medoids], axis=1)
+    if len(np.unique(labels)) < 2:
+        return -np.inf
     return float(silhouette(matrix, labels).per_point.sum())
 
 
@@ -94,7 +96,7 @@ def pamsil(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResul
     `asw`; `ams` holds the AMS of the final medoids for comparability.
     """
     result = _steepest_descent(matrix, medoids, max_iter, _asw_sum)
-    result.asw = _asw_sum(matrix, result.medoids) / len(result.labels)
+    result.asw = silhouette(matrix, result.labels).mean
     return result
 
 

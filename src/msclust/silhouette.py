@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_medoids, csv_text, nearest_three_all, safe_ratio_arr
+from .core import InputError, check_medoids, csv_text, nearest_three_all, safe_ratio_arr
 
 
 @dataclass
@@ -35,11 +35,11 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     labels = np.asarray(labels)
     n = len(matrix)
     if len(labels) != n:
-        raise ValueError("labels length does not match matrix size")
+        raise InputError("labels length does not match matrix size")
     _, idx = np.unique(labels, return_inverse=True)
     ncl = idx.max() + 1
     if ncl < 2:
-        raise ValueError("need at least 2 clusters")
+        raise InputError("need at least 2 clusters")
     counts = np.bincount(idx, minlength=ncl)
     # per-point sums of distances to each cluster, one matrix pass per cluster
     sums = np.empty((n, ncl))
@@ -60,7 +60,7 @@ def medoid_widths(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Per-point Medoid Silhouette 1 - d1/d2 from the distances to the
     two nearest medoids, or 1 when d1 = d2 = 0. Every AMS the package
     reports is a sum of these."""
-    return np.where(d2 > 0, 1.0 - safe_ratio_arr(d1, d2), 1.0)
+    return 1.0 - safe_ratio_arr(d1, d2)
 
 
 def medoid_silhouette(matrix: np.ndarray, medoids) -> SilhouetteReport:
@@ -83,7 +83,7 @@ def silhouette_plot_data(report: SilhouetteReport, labels) -> list[tuple[int, in
     sorted by descending width within each group; ready for plotting."""
     labels = np.asarray(labels)
     if len(labels) != len(report.per_point):
-        raise ValueError("labels and report lengths differ")
+        raise InputError("labels and report lengths differ")
     widths = report.per_point
     order = np.lexsort((np.arange(len(labels)), -widths, labels))
     return [(int(labels[o]), int(o), float(widths[o])) for o in order]

@@ -31,15 +31,12 @@ import pytest
 from msclust import (
     ams,
     ari,
-    axiom_suite,
     dynmsc,
-    exhaustive_best_medoids,
     fastermsc,
     fastmsc,
     init_random,
     nmi,
     pammedsil,
-    recompute_delta,
 )
 from msclust.fastmsc import (
     candidate_totals,
@@ -47,7 +44,13 @@ from msclust.fastmsc import (
     make_state,
     update_caches_after_swap,
 )
-from msclust.oracle import record, swap_delta
+from msclust.oracle import (
+    axiom_suite,
+    exhaustive_best_medoids,
+    recompute_delta,
+    record,
+    swap_delta,
+)
 
 from helpers import blob_matrix, uniform_instance
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import msclust
-from msclust import (ams, build_matrix, dynmsc, fastermsc, init_random, load_points_csv,
-                     silhouette)
+from msclust import ams, build_matrix, dynmsc, fastermsc, init_random, silhouette
 from msclust.cli import main
+from msclust.core import load_points_csv
 
 from helpers import LINE_POINTS
 
@@ -207,6 +207,27 @@ class TestCluster:
             outs.append(payload)
         assert outs[0] == outs[1]
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
+        plain.write_text("0,0\n1,0\n5,5\n6,5\n")
+        gappy.write_text("0,0\n\n1,0\n\n\n5,5\n  \n6,5\n\n")
+        outs = []
+        for path in (plain, gappy):
+            assert main(["cluster", "--input", str(path), "--k", "2"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            del payload["seconds"]
+            outs.append(payload)
+        assert outs[0] == outs[1]
+
+    def test_pamsil_on_duplicate_points(self, tmp_path, capsys):
+        # a trial swap onto the twin of the other medoid leaves one cluster
+        path = tmp_path / "dup.csv"
+        path.write_text("0\n0\n5\n5\n10\n11\n")
+        rc = main(["cluster", "--input", str(path), "--k", "2", "--algorithm", "pamsil"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(set(payload["labels"])) == 2
+
 
 class TestSweep:
     def test_blobs_pick_four(self, tmp_path, capsys):
@@ -353,6 +374,41 @@ class TestExitCodes:
         assert rc == 3
         assert "matrix invariant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("0,1,2,3\n1,0,1,2\n2,1,0,1\n", "expected a square matrix, got shape (3, 4)"),
+        ("0,1,nan\n1,0,1\nnan,1,0\n", "matrix contains non-finite values"),
+        ("0,1,inf\n1,0,1\ninf,1,0\n", "matrix contains non-finite values"),
+    ], ids=["3x4", "nan", "inf"])
+    def test_bad_matrix_shape_or_entries(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        rc = main(["cluster", "--input", str(path), "--kind", "matrix", "--k", "2"])
+        assert rc == 3
+        assert capsys.readouterr().err == f"msclust: matrix invariant violation: {message}\n"
+
+    def test_header_only(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("x,y\n")
+        rc = main(["cluster", "--input", str(path), "--k", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "msclust: bad input: no data rows found\n"
+
+    def test_build_init_k_out_of_range(self, line_csv, capsys):
+        rc = main(["cluster", "--input", line_csv, "--init", "build", "--k", "9"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "msclust: invalid configuration: need 2 <= k < n, got k=9, n=4\n")
+
+    @pytest.mark.parametrize("algorithm", [["--algorithm", "pamsil"],
+                                           ["--algorithm", "fastermsc", "--asw"]],
+                             ids=["pamsil", "asw"])
+    def test_one_cluster_has_no_full_silhouette(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "same.csv"
+        path.write_text("3\n3\n3\n3\n3\n")
+        rc = main(["cluster", "--input", str(path), "--k", "2"] + algorithm)
+        assert rc == 2
+        assert capsys.readouterr().err == "msclust: bad input: need at least 2 clusters\n"
+
     @pytest.mark.parametrize("argv,flag", [
         (["cluster", "--k", "2", "--restarts", "0"], "--restarts"),
         (["cluster", "--k", "2", "--max-iter", "0"], "--max-iter"),
@@ -382,6 +438,28 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid configuration" in err and flag in err
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--sizes", "5,x"], "sizes must be comma-separated integers"),
+        (["--algorithms", ","], "sizes, ks, and algorithms must be non-empty"),
+    ], ids=["sizes", "algorithms"])
+    def test_bad_bench_lists(self, capsys, extra, message):
+        rc = main(["bench", "--sizes", "30", "--ks", "2"] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err == f"msclust: invalid configuration: {message}\n"
+
+    @pytest.mark.parametrize("a,b,message", [
+        (b"0\n0\n1\n", b"x\ny\n", "label lengths differ: 3 vs 2"),
+        (b"0\n", b"x\n", "need at least 2 samples"),
+        (b"", b"", "need at least 2 samples"),
+    ], ids=["lengths-differ", "one-each", "empty"])
+    def test_label_file_messages(self, tmp_path, capsys, a, b, message):
+        (tmp_path / "a.txt").write_bytes(a)
+        (tmp_path / "b.txt").write_bytes(b)
+        rc = main(["eval", "--labels-a", str(tmp_path / "a.txt"),
+                   "--labels-b", str(tmp_path / "b.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"msclust: bad input: {message}\n"
 
     @pytest.mark.parametrize("a,b", [
         (b"0\n0\n1\n", b"x\ny\n"),   # lengths differ

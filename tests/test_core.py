@@ -6,11 +6,10 @@ from msclust import (
     MatrixError,
     MedoidError,
     build_matrix,
-    check_matrix,
     init_build,
     init_random,
 )
-from msclust.core import load_matrix_csv, load_points_csv
+from msclust.core import check_matrix, load_matrix_csv, load_points_csv
 from msclust.oracle import nearest_three
 
 from helpers import uniform_instance

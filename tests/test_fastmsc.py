@@ -7,7 +7,6 @@ from msclust import (
     fastmsc,
     init_random,
     pammedsil,
-    recompute_delta,
 )
 from msclust.core import nearest_three_all
 from msclust.fastmsc import (
@@ -16,7 +15,7 @@ from msclust.fastmsc import (
     make_state,
     update_caches_after_swap,
 )
-from msclust.oracle import record, swap_delta
+from msclust.oracle import recompute_delta, record, swap_delta
 
 from helpers import uniform_instance
 

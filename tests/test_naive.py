@@ -3,8 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from msclust import ams, build_matrix, pammedsil, pamsil, silhouette
+from msclust import InputError, ams, build_matrix, pammedsil, pamsil, silhouette
 from msclust.core import nearest_three_all
+from msclust.naive import _asw_sum
 
 from helpers import uniform_instance
 
@@ -39,6 +40,28 @@ class TestPamsil:
     def test_reaches_exhaustive_optimum_on_line(self, line):
         result = pamsil(line, [0, 1])
         assert result.asw == pytest.approx(exhaustive_best_asw(line, 2))
+
+    @pytest.mark.parametrize("start", [[0, 2], [0, 1], [2, 3]])
+    def test_duplicate_points_never_leave_one_cluster(self, start):
+        # points 0 and 1 coincide, as do 2 and 3: a trial swap onto the
+        # twin of the other medoid gives one cluster, and [0, 1] and
+        # [2, 3] start that way
+        mat = build_matrix([[0.0], [0.0], [5.0], [5.0], [10.0], [11.0]])
+        result = pamsil(mat, start)
+        assert result.converged
+        assert len(set(result.labels.tolist())) == 2
+        assert result.asw == pytest.approx(exhaustive_best_asw(mat, 2))
+
+    def test_all_points_identical_is_an_input_error(self):
+        with pytest.raises(InputError, match="need at least 2 clusters"):
+            pamsil(np.zeros((5, 5)), [0, 1])
+
+    def test_asw_is_the_optimized_sum_over_n(self):
+        for trial in range(4):
+            mat = uniform_instance(20, seed=trial)
+            result = pamsil(mat, [0, 1, 2])
+            assert result.asw == _asw_sum(mat, result.medoids) / 20
+            assert result.asw == silhouette(mat, result.labels).mean
 
 
 class TestPammedsil:

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from msclust import (
-    ams,
-    axiom_suite,
-    build_matrix,
-    exhaustive_best_medoids,
-    recompute_delta,
-)
+from msclust import ams, build_matrix
 from msclust.oracle import (
+    axiom_suite,
     consistent_variant,
+    exhaustive_best_medoids,
     permuted_instance,
+    recompute_delta,
     richness_matrix,
     scale_matrix,
 )

@@ -8,10 +8,9 @@ from msclust import (
     build_matrix,
     medoid_silhouette,
     silhouette,
-    silhouette_plot_data,
 )
 from msclust.core import nearest_three_all
-from msclust.silhouette import SilhouetteReport, plot_data_csv
+from msclust.silhouette import SilhouetteReport, plot_data_csv, silhouette_plot_data
 
 from helpers import uniform_instance
 
