@@ -18,6 +18,7 @@ malformed input, 3 dissimilarity-matrix invariant violation.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import statistics
 import sys
@@ -303,7 +304,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Keep freed memory in the heap: the scan frees its block temporaries
+    after every block, and glibc would trim them and fault them back in."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc: no handle or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -160,7 +160,7 @@ def top3(d: np.ndarray) -> NeighborCache:
 
 def nearest_three_all(matrix: np.ndarray, medoids) -> NeighborCache:
     """The neighbor records of every point."""
-    return top3(matrix[:, np.asarray(medoids, dtype=np.intp)])
+    return top3(np.asarray(matrix, dtype=float)[:, np.asarray(medoids, dtype=np.intp)])
 
 
 def init_random(n: int, k: int, seed: int) -> np.ndarray:
@@ -183,6 +183,7 @@ def init_build(matrix: np.ndarray, k: int) -> np.ndarray:
     max(0, d(o, nearest chosen) - d(o, candidate)). Ties break toward
     the lower index.
     """
+    matrix = np.asarray(matrix, dtype=float)
     n = len(matrix)
     if not 2 <= k < n:
         raise MedoidError(f"need 2 <= k < n, got k={k}, n={n}")

@@ -13,7 +13,10 @@ The key pieces:
   medoid is replaced, in whole-array passes over the (candidate, point)
   pairs with d(o, j) < d3(o). A block holds at most ``core.SCAN_BUDGET``
   = 2**15 distances, so each of its temporaries is at most 256 KiB
-  whatever n is.
+  whatever n is. Together they exceed glibc's trim threshold (128 KiB,
+  or twice the largest freed mmapped chunk once it adapts), so the heap
+  a block frees would go back to the system and be faulted in again by
+  the next block; ``cli.main`` raises both thresholds at start.
 * ``find_best_swap``: one O((n-k) n) pass over all non-medoids in blocks.
 * ``fastmsc``: steepest descent, each swap one ``update_caches_after_swap``
   call; identical to the naive pammedsil under the shared tie-breaks.

@@ -43,7 +43,7 @@ def _steepest_descent(
     max_iter: int,
     quality_sum: Callable[[np.ndarray, np.ndarray], float],
 ) -> ClusteringResult:
-    matrix = check_matrix(matrix)
+    """Steepest descent on a matrix the caller has validated."""
     n = len(matrix)
     medoids = check_medoids(medoids, n).copy()
     k = len(medoids)
@@ -95,6 +95,7 @@ def pamsil(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResul
     O(k (n-k) n^2) per iteration. The optimized ASW is reported in
     `asw`; `ams` holds the AMS of the final medoids for comparability.
     """
+    matrix = check_matrix(matrix)
     result = _steepest_descent(matrix, medoids, max_iter, _asw_sum)
     result.asw = silhouette(matrix, result.labels).mean
     return result
@@ -106,4 +107,4 @@ def pammedsil(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringRe
     Identical control flow to pamsil but evaluating the AMS, which only
     needs distances to medoids: O(k^2 (n-k) n) per iteration.
     """
-    return _steepest_descent(matrix, medoids, max_iter, _ams_sum)
+    return _steepest_descent(check_matrix(matrix), medoids, max_iter, _ams_sum)

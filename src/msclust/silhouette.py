@@ -32,6 +32,7 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     the point's own cluster (excluding itself) and b_i the smallest mean
     distance to another cluster. Points in singleton clusters get s_i = 0.
     """
+    matrix = np.asarray(matrix, dtype=float)
     labels = np.asarray(labels)
     n = len(matrix)
     if len(labels) != n:

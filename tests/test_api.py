@@ -2,6 +2,7 @@
 error types that every check in the public modules raises."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 import msclust
-from msclust import InputError, MedoidError, build_matrix, fastmsc, silhouette
+from msclust import (InputError, MedoidError, ams, build_matrix, dynmsc, fastermsc,
+                     fastmsc, init_build, medoid_silhouette, nearest_three_all,
+                     pammedsil, pamsil, silhouette)
 from msclust.extval import contingency_table
 from msclust.silhouette import SilhouetteReport, silhouette_plot_data
 
@@ -112,3 +115,36 @@ def test_label_checks_are_input_errors(a, b, message):
 def test_every_medoid_rule_is_a_medoid_error(line, medoids, message):
     with pytest.raises(MedoidError, match=message):
         fastmsc(line, medoids)
+
+
+# the points 0, 1, 10, 11 on a line, as a nested list of ints
+LINE_LIST = [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]]
+
+
+def _same(a, b) -> bool:
+    """Equal in every field, with arrays compared by value and dtype."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: pamsil(m, [0, 1]),
+    lambda m: pammedsil(m, [0, 1]),
+    lambda m: fastmsc(m, [0, 1]),
+    lambda m: fastermsc(m, [0, 1]),
+    lambda m: dynmsc(m, k_max=3),
+    lambda m: ams(m, [0, 2]),
+    lambda m: medoid_silhouette(m, [0, 2]),
+    lambda m: silhouette(m, [0, 0, 1, 1]),
+    lambda m: init_build(m, 2),
+    lambda m: nearest_three_all(m, [0, 2]),
+], ids=["pamsil", "pammedsil", "fastmsc", "fastermsc", "dynmsc", "ams",
+        "medoid_silhouette", "silhouette", "init_build", "nearest_three_all"])
+def test_a_nested_list_matrix_gives_the_array_result(call):
+    assert _same(call(LINE_LIST), call(np.array(LINE_LIST, dtype=float)))

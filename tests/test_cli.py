@@ -1,14 +1,18 @@
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
 
 import msclust
 from msclust import ams, build_matrix, dynmsc, fastermsc, init_random, silhouette
+from msclust import cli
 from msclust.cli import main
 from msclust.core import load_points_csv
 
@@ -494,3 +498,65 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+class TestAllocatorThresholds:
+    """main keeps freed memory in the heap where glibc's mallopt exists,
+    and runs unchanged where it does not."""
+
+    CHILD = (
+        "import resource, sys\n"
+        "import msclust.cli as cli\n"
+        "if sys.argv[1] == 'off':\n"
+        "    cli._keep_freed_memory = lambda: None\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "code = cli.main(sys.argv[2:])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "sys.stderr.write(str(after - before))\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_sweep_stops_faulting_its_blocks_back_in(self, tmp_path):
+        # 450 points in 12 planted 8-D blobs, the size of the benchmark's sweep
+        rng = np.random.default_rng(11)
+        centres = rng.uniform(0.0, 40.0, (12, 8))
+        points = centres[np.arange(450) % 12] + rng.normal(0.0, 1.0, (450, 8))
+        path = tmp_path / "matrix.csv"
+        write_points(path, build_matrix(points, metric="manhattan").tolist())
+        argv = ["sweep", "--kind", "matrix", "--input", str(path), "--k-max", "20"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(msclust.__file__)))
+        runs = {mode: subprocess.run([sys.executable, "-c", self.CHILD, mode, *argv],
+                                     env=env, check=True, capture_output=True)
+                for mode in ("on", "off")}
+        # sweep output has no seconds key, so the two outputs match byte for byte
+        assert runs["on"].stdout == runs["off"].stdout
+        assert int(runs["on"].stderr) < int(runs["off"].stderr) / 2
+
+    def test_sets_the_trim_and_mmap_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_memory()
+        assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+
+    @pytest.mark.parametrize("error", [OSError, TypeError, None],
+                             ids=["no-library", "no-handle", "no-mallopt"])
+    def test_runs_without_mallopt(self, line_csv, capsys, monkeypatch, error):
+        argv = ["cluster", "--input", line_csv, "--k", "2"]
+        assert main(argv) == 0
+        expected = json.loads(capsys.readouterr().out)
+
+        def cdll(name):
+            if error is None:
+                return object()  # a C library without mallopt, as on macOS
+            raise error("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert main(argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        del expected["seconds"], got["seconds"]
+        assert got == expected
