@@ -63,15 +63,26 @@ def block_rows(n: int) -> int:
     return max(1, SCAN_BUDGET // n)
 
 
+def square_matrix(values) -> np.ndarray:
+    """values as a square float64 array, not copied if it is one already.
+    Raises MatrixError for a non-numeric entry or a non-square shape; it
+    reads no value, so it costs nothing on an array check_matrix passed."""
+    try:
+        m = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MatrixError(f"matrix is not numeric ({exc})") from None
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise MatrixError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def check_matrix(values) -> np.ndarray:
     """Validate and return a dissimilarity matrix as a float64 array.
 
     Raises MatrixError unless the matrix is square, finite, non-negative,
     exactly symmetric, and zero on the diagonal.
     """
-    m = np.asarray(values, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise MatrixError(f"expected a square matrix, got shape {m.shape}")
+    m = square_matrix(values)
     if not np.all(np.isfinite(m)):
         raise MatrixError("matrix contains non-finite values")
     if np.any(m < 0):
@@ -83,19 +94,34 @@ def check_matrix(values) -> np.ndarray:
     return m
 
 
+def check_integers(**values) -> None:
+    """Raise MedoidError unless every value is an integer (a Python or
+    numpy int; a float such as 3.0 is not one)."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise MedoidError(f"{name} must be an integer, got {value!r}")
+
+
 def check_medoids(medoids, n: int) -> np.ndarray:
-    """Validate a medoid set: k distinct indices in [0, n), 2 <= k < n."""
-    m = np.asarray(medoids, dtype=np.intp)
+    """Validate a medoid set: k distinct indices in [0, n), 2 <= k < n.
+    Whole-number floats such as 3.0 are indices; 0.5 is not. Returns a
+    new intp array, so the caller may change it."""
+    try:
+        m = np.asarray(medoids, dtype=float)
+    except (TypeError, ValueError):
+        raise MedoidError("medoid indices must be integers") from None
     if m.ndim != 1:
         raise MedoidError("medoids must be a flat index list")
     k = len(m)
     if not 2 <= k < n:
         raise MedoidError(f"need 2 <= k < n, got k={k}, n={n}")
+    if np.any(m != np.floor(m)):
+        raise MedoidError("medoid indices must be integers")
     if len(np.unique(m)) != k:
         raise MedoidError("medoid indices must be distinct")
     if np.any(m < 0) or np.any(m >= n):
         raise MedoidError("medoid index out of range")
-    return m
+    return m.astype(np.intp)
 
 
 def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
@@ -109,7 +135,10 @@ def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
     """
     if metric not in METRICS:
         raise InputError(f"unknown metric {metric!r}, choose from {METRICS}")
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points are not numeric vectors ({exc})") from None
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
@@ -160,7 +189,8 @@ def top3(d: np.ndarray) -> NeighborCache:
 
 def nearest_three_all(matrix: np.ndarray, medoids) -> NeighborCache:
     """The neighbor records of every point."""
-    return top3(np.asarray(matrix, dtype=float)[:, np.asarray(medoids, dtype=np.intp)])
+    matrix = square_matrix(matrix)
+    return top3(matrix[:, check_medoids(medoids, len(matrix))])
 
 
 def init_random(n: int, k: int, seed: int) -> np.ndarray:
@@ -169,8 +199,11 @@ def init_random(n: int, k: int, seed: int) -> np.ndarray:
     Deterministic for a fixed seed; uses numpy's PCG64 generator so
     results reproduce across builds.
     """
+    check_integers(n=n, k=k, seed=seed)
     if not 2 <= k < n:
         raise MedoidError(f"need 2 <= k < n, got k={k}, n={n}")
+    if seed < 0:
+        raise MedoidError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     return np.asarray(rng.choice(n, size=k, replace=False), dtype=np.intp)
 
@@ -183,7 +216,8 @@ def init_build(matrix: np.ndarray, k: int) -> np.ndarray:
     max(0, d(o, nearest chosen) - d(o, candidate)). Ties break toward
     the lower index.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = square_matrix(matrix)
+    check_integers(k=k)
     n = len(matrix)
     if not 2 <= k < n:
         raise MedoidError(f"need 2 <= k < n, got k={k}, n={n}")

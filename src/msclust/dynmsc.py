@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ITER, ClusteringResult, MedoidError, check_matrix, init_random
+from .core import (DEFAULT_MAX_ITER, ClusteringResult, MedoidError, check_integers,
+                   check_matrix, init_random)
 from .fastmsc import OptimizerState, _fastermsc_state, _rescan, _result, make_state
 
 
@@ -41,6 +42,7 @@ def remove_medoid(state: OptimizerState, position: int) -> None:
         raise MedoidError("cannot remove a medoid below k = 2")
     c = state.cache
     need = state.matrix[state.medoids[position]] <= c.d3
+    state.is_medoid[state.medoids[position]] = False
     state.medoids = np.delete(state.medoids, position)
     c.n1 -= c.n1 > position
     c.n2 -= c.n2 > position
@@ -65,6 +67,7 @@ def dynmsc(
     n = len(matrix)
     if k_max is None:
         k_max = default_k_max(n)
+    check_integers(k_min=k_min, k_max=k_max)
     if not 2 <= k_min <= k_max < n:
         raise MedoidError(f"need 2 <= k_min <= k_max < n, got "
                           f"k_min={k_min}, k_max={k_max}, n={n}")

@@ -2,7 +2,8 @@
 
 The key pieces:
 
-* ``OptimizerState``: the medoids and each point's neighbor cache. Every
+* ``OptimizerState``: the medoids, the ``is_medoid`` mask that both scans
+  read and every swap or removal updates, and the neighbor cache. Every
   ``_rescan`` (after a swap or a removal) ends in ``_refresh_derived``,
   which alone derives the removal losses (the change in the silhouette
   sum if a medoid were deleted); ``ams_sum`` sums ``medoid_widths`` over
@@ -17,7 +18,7 @@ The key pieces:
   or twice the largest freed mmapped chunk once it adapts), so the heap
   a block frees would go back to the system and be faulted in again by
   the next block; ``cli.main`` raises both thresholds at start.
-* ``find_best_swap``: one O((n-k) n) pass over all non-medoids in blocks.
+* ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax.
 * ``fastmsc``: steepest descent, each swap one ``update_caches_after_swap``
   call; identical to the naive pammedsil under the shared tie-breaks.
 * ``fastermsc``: eager first-descent variant that applies every
@@ -67,6 +68,7 @@ class OptimizerState:
 
     matrix: np.ndarray
     medoids: np.ndarray
+    is_medoid: np.ndarray  # is_medoid[o] iff o is in medoids
     cache: NeighborCache
     swaps: int = 0
     iterations: int = 0
@@ -90,10 +92,11 @@ class OptimizerState:
 def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
     """Build a consistent OptimizerState for a validated input."""
     matrix = check_matrix(matrix)
-    medoids = check_medoids(medoids, len(matrix)).copy()
+    medoids = check_medoids(medoids, len(matrix))
     state = OptimizerState(
         matrix=matrix,
         medoids=medoids,
+        is_medoid=np.isin(np.arange(len(matrix)), medoids),
         cache=nearest_three_all(matrix, medoids),
     )
     _refresh_derived(state)
@@ -181,21 +184,15 @@ def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
     positions); ties break toward the lower position, and the earliest
     candidate wins among equal totals.
     """
-    n = len(state.matrix)
-    is_medoid = np.zeros(n, dtype=bool)
-    is_medoid[state.medoids] = True
-    candidates = np.flatnonzero(~is_medoid)
-    width = block_rows(n)
-    best: SwapCandidate | None = None
-    for start in range(0, len(candidates), width):
-        J = candidates[start:start + width]
-        pos, total = _best_positions(state, J)
-        b = int(np.argmax(total))
-        if best is None or total[b] > best.gain:
-            best = SwapCandidate(int(pos[b]), int(J[b]), float(total[b]))
-    if best is None or best.gain <= EPS_GAIN:
+    candidates = np.flatnonzero(~state.is_medoid)
+    width = block_rows(len(state.matrix))
+    blocks = [_best_positions(state, candidates[start:start + width])
+              for start in range(0, len(candidates), width)]
+    pos, totals = (np.concatenate(parts) for parts in zip(*blocks))
+    b = int(np.argmax(totals))
+    if totals[b] <= EPS_GAIN:
         return None
-    return best
+    return SwapCandidate(int(pos[b]), int(candidates[b]), float(totals[b]))
 
 
 def update_caches_after_swap(state: OptimizerState, position: int, replacement: int) -> None:
@@ -208,6 +205,8 @@ def update_caches_after_swap(state: OptimizerState, position: int, replacement: 
     """
     d3 = state.cache.d3
     near = (state.matrix[state.medoids[position]] <= d3) | (state.matrix[replacement] <= d3)
+    state.is_medoid[state.medoids[position]] = False
+    state.is_medoid[replacement] = True
     state.medoids[position] = replacement
     _rescan(state, np.flatnonzero(near))
     state.swaps += 1
@@ -259,7 +258,8 @@ def fastermsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringRe
     Cycles over candidates in index order (wrapping) and immediately
     applies any swap whose best per-medoid total is strictly positive;
     terminates when a full cycle returns to the last-swapped candidate
-    without an improvement. max_iter counts full passes over the data.
+    without an improvement. max_iter counts full passes over the data;
+    max_iter <= 0 makes none.
     """
     state = make_state(matrix, medoids)
     converged = _fastermsc_state(state, max_iter)
@@ -273,31 +273,27 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     Positions are scanned in blocks [j, stop) that end where scanning
     one candidate at a time would check something: at the end of a full
     cycle since the last swap (back at the swapped candidate) or since
-    the start, and at the end of a pass, where the pass budget is
-    checked. The first improving candidate of a block is applied and
+    the start, and at the end of a pass, before the next pass checks the
+    budget. The first improving candidate of a block is applied and
     scanning resumes after it. The block width starts at 1 after each
     swap and doubles after each block without one, up to the scan budget.
     """
     n = len(state.matrix)
     cap = block_rows(n)
-    is_medoid = np.zeros(n, dtype=bool)
-    is_medoid[state.medoids] = True
-    j = 0
+    last_pass = state.iterations + max_iter
+    j = n  # at the end of a pass: the first pass checks the budget too
     visited = 0  # positions visited since the last swap (or start)
-    passes = 0
     width = 1
-    state.iterations += 1
     while True:
         if visited >= n:
             return True
         if j == n:
-            passes += 1
-            if passes >= max_iter:
+            if state.iterations >= last_pass:
                 return False
             state.iterations += 1
             j = 0
         stop = min(j + width, n, j + n - visited)
-        J = j + np.flatnonzero(~is_medoid[j:stop])
+        J = j + np.flatnonzero(~state.is_medoid[j:stop])
         pos, totals = _best_positions(state, J)
         better = np.flatnonzero(totals > EPS_GAIN)
         if not len(better):
@@ -307,8 +303,6 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
             continue
         h = better[0]
         i, j = int(pos[h]), int(J[h])
-        is_medoid[state.medoids[i]] = False
-        is_medoid[j] = True
         update_caches_after_swap(state, i, j)
         width = 1
         visited = 1

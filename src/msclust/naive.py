@@ -45,7 +45,7 @@ def _steepest_descent(
 ) -> ClusteringResult:
     """Steepest descent on a matrix the caller has validated."""
     n = len(matrix)
-    medoids = check_medoids(medoids, n).copy()
+    medoids = check_medoids(medoids, n)
     k = len(medoids)
 
     current = quality_sum(matrix, medoids)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, check_medoids, csv_text, nearest_three_all, safe_ratio_arr
+from .core import InputError, csv_text, nearest_three_all, safe_ratio_arr, square_matrix
 
 
 @dataclass
@@ -32,7 +32,7 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     the point's own cluster (excluding itself) and b_i the smallest mean
     distance to another cluster. Points in singleton clusters get s_i = 0.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = square_matrix(matrix)
     labels = np.asarray(labels)
     n = len(matrix)
     if len(labels) != n:
@@ -69,7 +69,6 @@ def medoid_silhouette(matrix: np.ndarray, medoids) -> SilhouetteReport:
 
     The mean is the Average Medoid Silhouette (AMS).
     """
-    medoids = check_medoids(medoids, len(matrix))
     cache = nearest_three_all(matrix, medoids)
     return _report(medoid_widths(cache.d1, cache.d2))
 

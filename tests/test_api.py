@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import msclust
-from msclust import (InputError, MedoidError, ams, build_matrix, dynmsc, fastermsc,
-                     fastmsc, init_build, medoid_silhouette, nearest_three_all,
-                     pammedsil, pamsil, silhouette)
+from msclust import (InputError, MatrixError, MedoidError, ams, build_matrix, dynmsc,
+                     fastermsc, fastmsc, init_build, init_random, medoid_silhouette,
+                     nearest_three_all, pammedsil, pamsil, silhouette)
 from msclust.extval import contingency_table
 from msclust.silhouette import SilhouetteReport, silhouette_plot_data
 
@@ -148,3 +148,58 @@ def _same(a, b) -> bool:
         "medoid_silhouette", "silhouette", "init_build", "nearest_three_all"])
 def test_a_nested_list_matrix_gives_the_array_result(call):
     assert _same(call(LINE_LIST), call(np.array(LINE_LIST, dtype=float)))
+
+
+# a 30-point instance for the argument checks below
+POINTS_30 = np.random.default_rng(0).random((30, 2))
+NOT_NUMERIC = [[0, 1, "x"], [1, 0, 1], [2, 1, 0]]
+NOT_SQUARE = np.zeros((30, 31))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: silhouette([[0, 1], [1, 0], [2, 2]], [0, 1, 1]),
+     "square matrix, got shape \\(3, 2\\)"),
+    (lambda: ams(NOT_NUMERIC, [0, 1]), "not numeric"),
+    (lambda: fastmsc(NOT_NUMERIC, [0, 1]), "not numeric"),
+    (lambda: ams(5, [0, 1]), "square matrix, got shape \\(\\)"),
+    (lambda: ams(NOT_SQUARE, [0, 1]), "square matrix, got shape \\(30, 31\\)"),
+    (lambda: medoid_silhouette(NOT_SQUARE, [0, 1]), "square matrix"),
+    (lambda: nearest_three_all(NOT_SQUARE, [0, 1]), "square matrix"),
+    (lambda: init_build(NOT_SQUARE, 2), "square matrix"),
+    (lambda: silhouette(NOT_SQUARE, [0, 1] * 15), "square matrix"),
+], ids=["silhouette-3x2", "ams-string", "fastmsc-string", "ams-scalar", "ams-30x31",
+        "medoid_silhouette-30x31", "nearest_three_all-30x31", "init_build-30x31",
+        "silhouette-30x31"])
+def test_every_matrix_argument_passes_one_gate(call, message):
+    with pytest.raises(MatrixError, match=message):
+        call()
+
+
+def test_non_numeric_points_are_an_input_error():
+    with pytest.raises(InputError, match="points are not numeric vectors"):
+        build_matrix([["a"], [1], [2]])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda m: init_random(30, 3, -1), "seed must be non-negative, got -1"),
+    (lambda m: dynmsc(m, k_max=5, seed=-1), "seed must be non-negative, got -1"),
+    (lambda m: init_random(30, 3.5, 0), "k must be an integer, got 3.5"),
+    (lambda m: init_random(30, 3, 1.0), "seed must be an integer, got 1.0"),
+    (lambda m: init_build(m, 3.0), "k must be an integer, got 3.0"),
+    (lambda m: dynmsc(m, k_max=5.0), "k_max must be an integer, got 5.0"),
+    (lambda m: dynmsc(m, k_max=5, k_min=2.0), "k_min must be an integer, got 2.0"),
+    (lambda m: fastmsc(m, [0.5, 3, 7]), "medoid indices must be integers"),
+    (lambda m: fastermsc(m, [0, np.nan, 7]), "medoid indices must be integers"),
+    (lambda m: ams(m, ["x", 3, 7]), "medoid indices must be integers"),
+], ids=["init_random-seed", "dynmsc-seed", "init_random-k", "init_random-float-seed",
+        "init_build-k", "dynmsc-k_max", "dynmsc-k_min", "fastmsc-half", "fastermsc-nan",
+        "ams-string"])
+def test_integer_arguments_are_checked(call, message):
+    with pytest.raises(MedoidError, match=message):
+        call(build_matrix(POINTS_30))
+
+
+def test_whole_number_float_medoids_are_indices():
+    m = build_matrix(POINTS_30)
+    assert _same(fastmsc(m, [0.0, 3.0, 7.0]), fastmsc(m, [0, 3, 7]))
+    assert _same(init_random(np.int64(30), np.int32(3), np.uint8(2)), init_random(30, 3, 2))

@@ -164,6 +164,14 @@ class TestFastermsc:
         assert result.swaps == 0
         assert result.iterations == 1
 
+    def test_no_budget_makes_no_pass(self):
+        mat = uniform_instance(30, seed=14)
+        m0 = init_random(30, 3, seed=14)
+        for optimizer in (fastmsc, fastermsc, pammedsil):
+            result = optimizer(mat, m0, max_iter=0)
+            assert result.medoids.tolist() == m0.tolist()
+            assert (result.swaps, result.iterations, result.converged) == (0, 0, False)
+
     def test_budget_cut_counts_only_the_passes_made(self):
         result = fastermsc(uniform_instance(50, seed=4), init_random(50, 5, seed=4),
                            max_iter=1)

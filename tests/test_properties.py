@@ -54,6 +54,7 @@ def assert_cache_is_fresh(state):
     for name in ("n1", "n2", "d1", "d2", "d3"):
         np.testing.assert_array_equal(getattr(state.cache, name), getattr(fresh.cache, name))
     np.testing.assert_array_equal(state.removal_loss, fresh.removal_loss)
+    np.testing.assert_array_equal(state.is_medoid, fresh.is_medoid)
 
 
 def assert_truthful(matrix, result):
@@ -62,7 +63,7 @@ def assert_truthful(matrix, result):
 
 
 @SETTINGS
-@given(instances(), st.sampled_from([1, 2, 1000]))
+@given(instances(), st.sampled_from([0, 1, 2, 1000]))
 def test_fast_optimisers_report_fresh_ams_and_labels(inst, max_iter):
     m, m0 = inst
     for optimise in (fastmsc, fastermsc):
@@ -72,7 +73,7 @@ def test_fast_optimisers_report_fresh_ams_and_labels(inst, max_iter):
 
 
 @SETTINGS
-@given(awkward_matrices(), st.integers(0, 2**16), st.sampled_from([1, 1000]))
+@given(awkward_matrices(), st.integers(0, 2**16), st.sampled_from([0, 1, 1000]))
 def test_every_sweep_entry_reports_fresh_ams_and_labels(m, seed, max_iter):
     k_max = min(8, len(m) - 1)
     sweep = dynmsc(m, k_max=k_max, seed=seed, max_iter=max_iter)
