@@ -67,7 +67,7 @@ def dynmsc(
     n = len(matrix)
     if k_max is None:
         k_max = default_k_max(n)
-    check_integers(k_min=k_min, k_max=k_max)
+    check_integers(k_min=k_min, k_max=k_max, max_iter=max_iter)
     if not 2 <= k_min <= k_max < n:
         raise MedoidError(f"need 2 <= k_min <= k_max < n, got "
                           f"k_min={k_min}, k_max={k_max}, n={n}")

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DEFAULT_MAX_ITER, EPS_GAIN, ClusteringResult, check_matrix,
-                   check_medoids, nearest_three_all)
+from .core import (DEFAULT_MAX_ITER, EPS_GAIN, ClusteringResult, check_integers,
+                   check_matrix, check_medoids, nearest_three_all)
 from .silhouette import ams, medoid_widths, silhouette
 
 
@@ -44,6 +44,7 @@ def _steepest_descent(
     quality_sum: Callable[[np.ndarray, np.ndarray], float],
 ) -> ClusteringResult:
     """Steepest descent on a matrix the caller has validated."""
+    check_integers(max_iter=max_iter)
     n = len(matrix)
     medoids = check_medoids(medoids, n)
     k = len(medoids)

@@ -17,6 +17,14 @@ def uniform_instance(n: int, seed: int) -> np.ndarray:
     return build_matrix(rng.random((n, 2)))
 
 
+def duplicate_grid() -> np.ndarray:
+    """2000 points on a 6x6 integer grid: every point has many exact
+    duplicates, so swapping a medoid for one of them has a true gain of
+    exactly 0, while the scan totals score it with rounding noise that
+    reaches EPS_GAIN at this n."""
+    return build_matrix(np.random.default_rng(5).integers(0, 6, (2000, 2)))
+
+
 def blob_matrix(seed: int, n: int = 400) -> np.ndarray:
     """Four well-separated 2-d Gaussian blobs (centers 20 apart, sigma 1)."""
     rng = np.random.default_rng(seed)

@@ -199,6 +199,16 @@ def test_integer_arguments_are_checked(call, message):
         call(build_matrix(POINTS_30))
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 0.5, np.nan])
+@pytest.mark.parametrize("optimizer", [
+    fastmsc, fastermsc, pammedsil, pamsil,
+    lambda m, _, max_iter: dynmsc(m, k_max=5, max_iter=max_iter),
+], ids=["fastmsc", "fastermsc", "pammedsil", "pamsil", "dynmsc"])
+def test_max_iter_must_be_an_integer(optimizer, max_iter):
+    with pytest.raises(MedoidError, match="max_iter must be an integer"):
+        optimizer(build_matrix(POINTS_30), [0, 3, 7], max_iter=max_iter)
+
+
 def test_whole_number_float_medoids_are_indices():
     m = build_matrix(POINTS_30)
     assert _same(fastmsc(m, [0.0, 3.0, 7.0]), fastmsc(m, [0, 3, 7]))

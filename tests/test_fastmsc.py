@@ -1,14 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from msclust import (
     ams,
+    dynmsc,
     fastermsc,
     fastmsc,
     init_random,
     pammedsil,
 )
-from msclust.core import nearest_three_all
+from msclust.core import EPS_GAIN, nearest_three_all
 from msclust.fastmsc import (
     candidate_totals,
     find_best_swap,
@@ -17,7 +20,10 @@ from msclust.fastmsc import (
 )
 from msclust.oracle import recompute_delta, record, swap_delta
 
-from helpers import uniform_instance
+from helpers import duplicate_grid, uniform_instance
+
+# the package re-exports the function fastmsc under the module's name
+fm = importlib.import_module("msclust.fastmsc")
 
 
 def assert_cache_consistent(state):
@@ -238,3 +244,58 @@ class TestCacheUpdates:
             assert state.removal_loss == pytest.approx(
                 make_state(mat, state.medoids).removal_loss, abs=1e-9
             )
+
+
+@pytest.fixture(scope="module", name="duplicate_grid")
+def duplicate_grid_fixture():
+    return duplicate_grid()
+
+
+def check_swaps_as_made(monkeypatch):
+    """Wrap update_caches_after_swap so that each swap is checked when it
+    is made: it raises the fresh sum by more than EPS_GAIN, or the very
+    next call, before any candidate is scored again, swaps it back and
+    restores the sum. Returns the dict that counts the kept swaps and
+    holds a pending swap-back."""
+    apply_swap, block_totals = fm.update_caches_after_swap, fm.block_totals
+    log = {"kept": 0, "undo": None}
+
+    def scored(state, J):
+        assert log["undo"] is None, "a swap that did not raise the sum was kept"
+        return block_totals(state, J)
+
+    def checked(state, position, replacement):
+        before, old = state.ams_sum, int(state.medoids[position])
+        apply_swap(state, position, replacement)
+        after = state.ams_sum
+        if log["undo"] is not None:
+            assert (position, replacement, after) == log["undo"]
+            log["undo"] = None
+        elif after - before > EPS_GAIN:
+            log["kept"] += 1
+        else:
+            log["undo"] = (position, old, before)
+
+    monkeypatch.setattr(fm, "update_caches_after_swap", checked)
+    monkeypatch.setattr(fm, "block_totals", scored)
+    return log
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("optimizer", ["fastmsc", "fastermsc", "dynmsc"])
+def test_every_kept_swap_raises_the_fresh_sum(optimizer, seed, duplicate_grid,
+                                              monkeypatch):
+    log = check_swaps_as_made(monkeypatch)
+    if optimizer == "dynmsc":
+        sweep = dynmsc(duplicate_grid, k_min=8, k_max=12, seed=seed)
+        results = list(sweep.per_k.values())
+        assert sweep.best.swaps == log["kept"]
+    else:
+        result = {"fastmsc": fastmsc, "fastermsc": fastermsc}[optimizer](
+            duplicate_grid, init_random(2000, 10, seed))
+        results = [result]
+        assert result.swaps == log["kept"]
+    assert log["undo"] is None
+    assert all(r.converged for r in results)
+    for r in results:
+        assert r.ams == pytest.approx(ams(duplicate_grid, r.medoids), abs=1e-12)

@@ -16,7 +16,7 @@ from msclust.fastmsc import make_state
 from msclust.core import safe_ratio_arr
 from msclust.naive import EPS_GAIN
 
-from helpers import uniform_instance
+from helpers import duplicate_grid, uniform_instance
 
 # the package re-exports the function fastmsc under the module's name
 fm = importlib.import_module("msclust.fastmsc")
@@ -68,7 +68,9 @@ def reference_candidate_totals(state, j):
 
 def reference_eager(state, max_iter):
     """One candidate at a time. Returns (converged, [(position,
-    replacement)], candidates scored after the last swap)."""
+    replacement)] of the kept swaps, candidates scored after the last
+    one). A swap scored above EPS_GAIN that does not raise the fresh sum
+    by more than EPS_GAIN is undone and the scan goes on."""
     n = len(state.matrix)
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[state.medoids] = True
@@ -92,29 +94,39 @@ def reference_eager(state, max_iter):
             i = int(np.argmax(acc))
             total = float(acc[i]) + shared
             if total > EPS_GAIN:
-                is_medoid[state.medoids[i]] = False
-                is_medoid[j] = True
+                before, old = state.ams_sum, int(state.medoids[i])
                 fm.update_caches_after_swap(state, i, j)
-                made.append((i, j))
-                tail = 0
-                x_last = j
-                visited = 0
+                if state.ams_sum - before > EPS_GAIN:
+                    is_medoid[old] = False
+                    is_medoid[j] = True
+                    made.append((i, j))
+                    tail = 0
+                    x_last = j
+                    visited = 0
+                else:
+                    fm.update_caches_after_swap(state, i, old)
+                    state.swaps -= 2
         j = (j + 1) % n
         visited += 1
         steps += 1
 
 
 def block_eager(state, max_iter, monkeypatch):
-    """The package's eager search, recording each swap it applies and
-    how many candidates it scores after the last one."""
-    made = []
+    """The package's eager search, recording each swap it keeps, how
+    many candidates it scores after the last one, and each swap it
+    undoes."""
+    made, undone = [], []
     tail = [0]
-    apply_swap, block_totals = fm.update_caches_after_swap, fm.block_totals
+    try_swap, block_totals = fm._swap_if_sum_rises, fm.block_totals
 
-    def recording_swap(state, position, replacement):
-        made.append((position, replacement))
-        tail[0] = 0
-        apply_swap(state, position, replacement)
+    def recording_swap(state, position, replacement, before):
+        after = try_swap(state, position, replacement, before)
+        if after is None:
+            undone.append((position, replacement))
+        else:
+            made.append((position, replacement))
+            tail[0] = 0
+        return after
 
     def counting_totals(state, J):
         assert len(J) * len(state.matrix) <= max(core.SCAN_BUDGET, len(state.matrix))
@@ -122,10 +134,10 @@ def block_eager(state, max_iter, monkeypatch):
         return block_totals(state, J)
 
     with monkeypatch.context() as mp:
-        mp.setattr(fm, "update_caches_after_swap", recording_swap)
+        mp.setattr(fm, "_swap_if_sum_rises", recording_swap)
         mp.setattr(fm, "block_totals", counting_totals)
         converged = fm._fastermsc_state(state, max_iter)
-    return converged, made, tail[0]
+    return converged, made, tail[0], undone
 
 
 def tied_instance(n, seed):
@@ -215,8 +227,10 @@ EAGER_CASES = [
 ]
 
 
+# at n=45 a budget of 1 or 5 rows resumes after a swap one row wide and
+# the default budget n rows wide; 40 rows resume 5 wide
 @pytest.mark.parametrize("kind,make,seed,max_iter", EAGER_CASES)
-@pytest.mark.parametrize("budget_rows", [1, 5, None])
+@pytest.mark.parametrize("budget_rows", [1, 5, 40, None])
 def test_eager_blocks_make_the_reference_swaps(kind, make, seed, max_iter,
                                                budget_rows, monkeypatch):
     n = 45
@@ -228,7 +242,7 @@ def test_eager_blocks_make_the_reference_swaps(kind, make, seed, max_iter,
     ref_state = make_state(mat, m0)
     ref_converged, ref_made, ref_tail = reference_eager(ref_state, max_iter)
     state = make_state(mat, m0)
-    converged, made, tail = block_eager(state, max_iter, monkeypatch)
+    converged, made, tail, _ = block_eager(state, max_iter, monkeypatch)
 
     assert made == ref_made
     # no block reaches past the point where the reference stops
@@ -237,6 +251,40 @@ def test_eager_blocks_make_the_reference_swaps(kind, make, seed, max_iter,
     assert (state.swaps, state.iterations) == (ref_state.swaps, ref_state.iterations)
     assert np.array_equal(state.medoids, ref_state.medoids)
     assert state.ams_sum == pytest.approx(ref_state.ams_sum, abs=1e-12)
+
+
+def blob_grid(seed):
+    """640 points in 20 Gaussian blobs on a jittered 5x4 grid."""
+    rng = np.random.default_rng(seed)
+    gx, gy = np.meshgrid(np.arange(5.0), np.arange(4.0))
+    centres = np.c_[gx.ravel(), gy.ravel()] + rng.uniform(-0.15, 0.15, (20, 2))
+    labels = rng.permutation(np.arange(640) % 20)
+    return build_matrix(centres[labels] + rng.normal(0.0, 0.18, (640, 2)))
+
+
+# the default budget: at n=640 blocks of 51 rows, 6 after a swap; at
+# n=2000 16 rows, 2 after a swap. With 64 rows at n=2000 a block holds a
+# swap that is undone followed by one that is kept.
+@pytest.mark.parametrize("data,seed,k,budget_rows", [
+    ("blobs", 0, 20, None), ("blobs", 1, 20, None),
+    ("duplicates", 0, 10, None), ("duplicates", 0, 10, 64)])
+def test_eager_blocks_make_the_reference_swaps_at_scale(data, seed, k, budget_rows,
+                                                        monkeypatch):
+    mat = blob_grid(seed) if data == "blobs" else duplicate_grid()
+    if budget_rows is not None:
+        monkeypatch.setattr(core, "SCAN_BUDGET", budget_rows * len(mat))
+    n = len(mat)
+    m0 = init_random(n, k, seed=seed)
+    ref_state = make_state(mat, m0)
+    ref_converged, ref_made, ref_tail = reference_eager(ref_state, 1000)
+    state = make_state(mat, m0)
+    converged, made, tail, undone = block_eager(state, 1000, monkeypatch)
+
+    assert ref_converged and len(ref_made) > 5
+    assert bool(undone) == (data == "duplicates")
+    assert (made, tail, converged) == (ref_made, ref_tail, ref_converged)
+    assert (state.swaps, state.iterations) == (ref_state.swaps, ref_state.iterations)
+    assert np.array_equal(state.medoids, ref_state.medoids)
 
 
 def test_eager_cases_cover_wrap_budget_and_last_swap_stop():
