@@ -44,7 +44,8 @@ from .core import (
 from .extval import ari, nmi
 from .fastmsc import fastermsc, fastmsc
 from .naive import pammedsil, pamsil
-from .silhouette import ams, medoid_silhouette, plot_data_csv, silhouette, silhouette_plot_data
+from .silhouette import (medoid_result, medoid_silhouette, plot_data_csv, silhouette,
+                         silhouette_plot_data)
 
 ALGORITHMS = {
     "pamsil": pamsil,
@@ -97,18 +98,13 @@ def _run_once(matrix: np.ndarray, args, seed: int):
     result = ALGORITHMS[args.algorithm](work, m0, max_iter=args.max_iter)
 
     if perm is not None:
-        medoids = perm[result.medoids]
-        result.medoids = medoids
-        result.labels = nearest_three_all(matrix, medoids).n1
-        # summed in the input's point order, like a fresh recompute
-        result.ams = ams(matrix, medoids)
-        if result.asw is not None:
+        # map back and re-sum in the input's point order, like a fresh recompute
+        medoids, asw = perm[result.medoids], result.asw
+        result = medoid_result(nearest_three_all(matrix, medoids), medoids,
+                               result.swaps, result.iterations, result.converged)
+        if asw is not None:
             result.asw = silhouette(matrix, result.labels).mean
     return result
-
-
-def _quality(result, algorithm: str) -> float:
-    return result.asw if algorithm == "pamsil" else result.ams
 
 
 def cmd_cluster(args) -> str:
@@ -119,7 +115,8 @@ def cmd_cluster(args) -> str:
     restarts = args.restarts if args.shuffle or args.init == "random" else 1
     started = time.perf_counter()
     results = [_run_once(matrix, args, args.seed + r) for r in range(restarts)]
-    best = max(results, key=lambda r: _quality(r, args.algorithm))
+    # only pamsil sets asw, the quality it optimizes
+    best = max(results, key=lambda r: r.ams if r.asw is None else r.asw)
     seconds = time.perf_counter() - started
 
     asw = best.asw
@@ -335,6 +332,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_MATRIX
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"msclust: bad input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        print(f"msclust: out of memory: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return 0
 

@@ -96,18 +96,21 @@ def check_matrix(values) -> np.ndarray:
 
 def check_integers(**values) -> None:
     """Raise MedoidError unless every value is an integer (a Python or
-    numpy int; a float such as 3.0 is not one)."""
+    numpy int; a float such as 3.0 is not one, nor is a bool)."""
     for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise MedoidError(f"{name} must be an integer, got {value!r}")
 
 
 def check_medoids(medoids, n: int) -> np.ndarray:
     """Validate a medoid set: k distinct indices in [0, n), 2 <= k < n.
-    Whole-number floats such as 3.0 are indices; 0.5 is not. Returns a
-    new intp array, so the caller may change it."""
+    Whole-number floats such as 3.0 are indices; 0.5 and True are not.
+    Returns a new intp array, so the caller may change it."""
     try:
-        m = np.asarray(medoids, dtype=float)
+        m = np.asarray(medoids)
+        if m.dtype == bool:
+            raise TypeError
+        m = m.astype(float)
     except (TypeError, ValueError):
         raise MedoidError("medoid indices must be integers") from None
     if m.ndim != 1:
@@ -150,16 +153,20 @@ def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
     n = len(pts)
     out = np.zeros((n, n))
     buf = np.empty((block_rows(n), n))
-    for lo in range(0, n, len(buf)):
-        hi = min(lo + len(buf), n)
-        t = buf[:hi - lo]
-        for col in pts.T:
-            np.subtract.outer(col[lo:hi], col, out=t)
-            if metric == "manhattan":
-                np.abs(t, out=t)
-            else:
-                np.multiply(t, t, out=t)
-            out[lo:hi] += t
+    try:
+        with np.errstate(over="raise"):
+            for lo in range(0, n, len(buf)):
+                hi = min(lo + len(buf), n)
+                t = buf[:hi - lo]
+                for col in pts.T:
+                    np.subtract.outer(col[lo:hi], col, out=t)
+                    if metric == "manhattan":
+                        np.abs(t, out=t)
+                    else:
+                        np.multiply(t, t, out=t)
+                    out[lo:hi] += t
+    except FloatingPointError as exc:
+        raise InputError(f"a {metric} distance overflows float64 ({exc})") from None
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out

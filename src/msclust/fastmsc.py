@@ -3,11 +3,12 @@
 The key pieces:
 
 * ``OptimizerState``: the medoids, the ``is_medoid`` mask that both scans
-  read and every swap or removal updates, and the neighbor cache. Every
+  read and every swap or removal updates, and the neighbor cache, on a
+  matrix that the public caller has passed through ``check_matrix``. Every
   ``_rescan`` (after a swap or a removal) ends in ``_refresh_derived``,
   which alone derives the removal losses (the change in the silhouette
-  sum if a medoid were deleted); ``ams_sum`` sums ``medoid_widths`` over
-  the cache, so the reported AMS has the bits of ``ams(matrix, medoids)``.
+  sum if a medoid were deleted). ``ams_sum`` sums ``medoid_widths`` over
+  the cache, as ``silhouette.medoid_result`` does for the reported AMS.
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
@@ -60,7 +61,7 @@ from .core import (
     safe_ratio_arr,
     top3,
 )
-from .silhouette import medoid_widths
+from .silhouette import medoid_result, medoid_widths
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,7 @@ class OptimizerState:
 
 
 def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
-    """Build a consistent OptimizerState for a validated input."""
-    matrix = check_matrix(matrix)
+    """Build a consistent OptimizerState on a matrix check_matrix has passed."""
     medoids = check_medoids(medoids, len(matrix))
     state = OptimizerState(
         matrix=matrix,
@@ -246,15 +246,7 @@ def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
 
 
 def _result(state: OptimizerState, converged: bool) -> ClusteringResult:
-    return ClusteringResult(
-        medoids=state.medoids.copy(),
-        labels=state.cache.n1.copy(),
-        ams=state.ams_sum / len(state.matrix),
-        asw=None,
-        swaps=state.swaps,
-        iterations=state.iterations,
-        converged=converged,
-    )
+    return medoid_result(state.cache, state.medoids, state.swaps, state.iterations, converged)
 
 
 def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResult:
@@ -266,7 +258,7 @@ def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResu
     pammedsil.
     """
     check_integers(max_iter=max_iter)
-    state = make_state(matrix, medoids)
+    state = make_state(check_matrix(matrix), medoids)
     current = state.ams_sum
     converged = False
     for _ in range(max_iter):
@@ -291,7 +283,7 @@ def fastermsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringRe
     max_iter <= 0 makes none.
     """
     check_integers(max_iter=max_iter)
-    state = make_state(matrix, medoids)
+    state = make_state(check_matrix(matrix), medoids)
     converged = _fastermsc_state(state, max_iter)
     return _result(state, converged)
 

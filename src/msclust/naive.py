@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (DEFAULT_MAX_ITER, EPS_GAIN, ClusteringResult, check_integers,
                    check_matrix, check_medoids, nearest_three_all)
-from .silhouette import ams, medoid_widths, silhouette
+from .silhouette import medoid_result, medoid_widths, silhouette
 
 
 def _ams_sum(matrix: np.ndarray, medoids: np.ndarray) -> float:
@@ -78,16 +78,7 @@ def _steepest_descent(
         current = best
         swaps += 1
 
-    labels = nearest_three_all(matrix, medoids).n1
-    return ClusteringResult(
-        medoids=medoids,
-        labels=labels,
-        ams=ams(matrix, medoids),
-        asw=None,
-        swaps=swaps,
-        iterations=iterations,
-        converged=converged,
-    )
+    return medoid_result(nearest_three_all(matrix, medoids), medoids, swaps, iterations, converged)
 
 
 def pamsil(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResult:

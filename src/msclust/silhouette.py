@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, csv_text, nearest_three_all, safe_ratio_arr, square_matrix
+from .core import (ClusteringResult, InputError, NeighborCache, csv_text, nearest_three_all,
+                   safe_ratio_arr, square_matrix)
 
 
 @dataclass
@@ -76,6 +77,16 @@ def medoid_silhouette(matrix: np.ndarray, medoids) -> SilhouetteReport:
 def ams(matrix: np.ndarray, medoids) -> float:
     """Average Medoid Silhouette of a medoid set."""
     return medoid_silhouette(matrix, medoids).mean
+
+
+def medoid_result(cache: NeighborCache, medoids, swaps: int, iterations: int,
+                  converged: bool) -> ClusteringResult:
+    """The one constructor of an optimizer's result, from the neighbor cache
+    of its final medoids: labels are each point's nearest-medoid position, and
+    ams equals ams(matrix, medoids) bit for bit. No array is shared."""
+    return ClusteringResult(medoids=np.array(medoids), labels=cache.n1.copy(),
+                            ams=_report(medoid_widths(cache.d1, cache.d2)).mean,
+                            asw=None, swaps=swaps, iterations=iterations, converged=converged)
 
 
 def silhouette_plot_data(report: SilhouetteReport, labels) -> list[tuple[int, int, float]]:

@@ -6,6 +6,16 @@ from msclust import build_matrix
 
 LINE_POINTS = [[0.0], [1.0], [10.0], [11.0]]
 
+# finite points whose distance overflows float64: in the square of a
+# difference, in the running sum over coordinates, and in a difference
+OVERFLOWS = [
+    ("euclidean", [[1e200, 0], [0, 0], [1, 1], [2, 2]]),
+    ("sq-euclidean", [[1e200, 0], [0, 0], [1, 1], [2, 2]]),
+    ("manhattan", [[1e308, 1e308], [0, 0], [1, 1], [2, 2]]),
+    ("manhattan", [[1.5e308], [-1.5e308], [0], [1]]),
+]
+OVERFLOW_IDS = ["euclidean-square", "sq-euclidean-square", "manhattan-sum", "manhattan-difference"]
+
 
 def line_matrix() -> np.ndarray:
     return build_matrix(LINE_POINTS)

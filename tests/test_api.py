@@ -15,6 +15,7 @@ import msclust
 from msclust import (InputError, MatrixError, MedoidError, ams, build_matrix, dynmsc,
                      fastermsc, fastmsc, init_build, init_random, medoid_silhouette,
                      nearest_three_all, pammedsil, pamsil, silhouette)
+from msclust.core import check_matrix
 from msclust.extval import contingency_table
 from msclust.silhouette import SilhouetteReport, silhouette_plot_data
 
@@ -65,16 +66,37 @@ def test_import_does_not_load_the_oracle():
 
 def test_only_the_oracle_raises_a_bare_value_error():
     raisers = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                     and getattr(node.exc.func, "id", None) == "ValueError"):
                 raisers.append(name)
     assert set(raisers) == {"oracle.py"}
+
+
+def _package_trees():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_one_constructor_builds_every_optimizer_result():
+    builders, patched = set(), []
+    for name, tree in _package_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "ClusteringResult" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    builders.add((name, fn.name))
+                # a result's labels and ams are set only by that constructor
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and node.attr in ("labels", "ams")):
+                    patched.append((name, fn.name, node.attr))
+    assert builders == {("silhouette.py", "medoid_result")}
+    assert patched == []
 
 
 def test_unknown_metric_is_an_input_error():
@@ -191,15 +213,18 @@ def test_non_numeric_points_are_an_input_error():
     (lambda m: fastmsc(m, [0.5, 3, 7]), "medoid indices must be integers"),
     (lambda m: fastermsc(m, [0, np.nan, 7]), "medoid indices must be integers"),
     (lambda m: ams(m, ["x", 3, 7]), "medoid indices must be integers"),
+    (lambda m: init_random(10, 3, seed=True), "seed must be an integer, got True"),
+    (lambda m: fastmsc(m, [True, False]), "medoid indices must be integers"),
+    (lambda m: fastmsc(m, np.array([False, True, True])), "medoid indices must be integers"),
 ], ids=["init_random-seed", "dynmsc-seed", "init_random-k", "init_random-float-seed",
         "init_build-k", "dynmsc-k_max", "dynmsc-k_min", "fastmsc-half", "fastermsc-nan",
-        "ams-string"])
+        "ams-string", "init_random-bool-seed", "fastmsc-bool-list", "fastmsc-bool-array"])
 def test_integer_arguments_are_checked(call, message):
     with pytest.raises(MedoidError, match=message):
         call(build_matrix(POINTS_30))
 
 
-@pytest.mark.parametrize("max_iter", [2.5, 0.5, np.nan])
+@pytest.mark.parametrize("max_iter", [2.5, 0.5, np.nan, True])
 @pytest.mark.parametrize("optimizer", [
     fastmsc, fastermsc, pammedsil, pamsil,
     lambda m, _, max_iter: dynmsc(m, k_max=5, max_iter=max_iter),
@@ -213,3 +238,21 @@ def test_whole_number_float_medoids_are_indices():
     m = build_matrix(POINTS_30)
     assert _same(fastmsc(m, [0.0, 3.0, 7.0]), fastmsc(m, [0, 3, 7]))
     assert _same(init_random(np.int64(30), np.int32(3), np.uint8(2)), init_random(30, 3, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: dynmsc(m, k_max=5),
+    lambda m: fastmsc(m, [0, 3, 7]),
+    lambda m: fastermsc(m, [0, 3, 7]),
+], ids=["dynmsc", "fastmsc", "fastermsc"])
+def test_an_optimizer_call_checks_its_matrix_once(monkeypatch, call):
+    checked = []
+
+    def counted(matrix):
+        checked.append(len(matrix))
+        return check_matrix(matrix)
+
+    for module in ("msclust.dynmsc", "msclust.fastmsc"):
+        monkeypatch.setattr(importlib.import_module(module), "check_matrix", counted)
+    call(build_matrix(POINTS_30))
+    assert checked == [30]

@@ -16,7 +16,7 @@ from msclust import cli
 from msclust.cli import main
 from msclust.core import load_points_csv
 
-from helpers import LINE_POINTS
+from helpers import LINE_POINTS, OVERFLOW_IDS, OVERFLOWS
 
 
 def write_points(path, points):
@@ -389,6 +389,28 @@ class TestExitCodes:
         rc = main(["cluster", "--input", str(path), "--kind", "matrix", "--k", "2"])
         assert rc == 3
         assert capsys.readouterr().err == f"msclust: matrix invariant violation: {message}\n"
+
+    @pytest.mark.parametrize("metric,points", OVERFLOWS, ids=OVERFLOW_IDS)
+    def test_overflowing_points_are_bad_input(self, tmp_path, capsys, metric, points):
+        path = tmp_path / "huge.csv"
+        write_points(path, points)
+        rc = main(["cluster", "--input", str(path), "--k", "2", "--metric", metric])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"msclust: bad input: a {metric} distance overflows float64 (")
+        assert err.count("\n") == 1
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        message = ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000) "
+                   "and data type float64")
+
+        def no_memory(points):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_matrix", no_memory)
+        rc = main(["bench", "--sizes", "20000", "--ks", "5", "--repeats", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"msclust: out of memory: {message}\n"
 
     def test_header_only(self, tmp_path, capsys):
         path = tmp_path / "header.csv"

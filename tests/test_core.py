@@ -12,7 +12,7 @@ from msclust import (
 from msclust.core import check_matrix, load_matrix_csv, load_points_csv
 from msclust.oracle import nearest_three
 
-from helpers import uniform_instance
+from helpers import OVERFLOW_IDS, OVERFLOWS, uniform_instance
 
 
 class TestBuildMatrix:
@@ -44,6 +44,20 @@ class TestBuildMatrix:
     def test_too_few_points(self):
         with pytest.raises(InputError):
             build_matrix([[0.0], [1.0]])
+
+    def test_flat_points_have_one_coordinate(self):
+        flat, column = build_matrix([0, 1, 10, 11]), build_matrix([[0], [1], [10], [11]])
+        assert flat.tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("points", [5, np.zeros((3, 2, 2))], ids=["0-d", "3-d"])
+    def test_points_must_be_a_list_of_vectors(self, points):
+        with pytest.raises(InputError, match="points must be a list of same-length vectors"):
+            build_matrix(points)
+
+    @pytest.mark.parametrize("metric,points", OVERFLOWS, ids=OVERFLOW_IDS)
+    def test_an_overflowing_distance_is_an_input_error(self, metric, points):
+        with pytest.raises(InputError, match=f"a {metric} distance overflows float64"):
+            build_matrix(points, metric)
 
 
 class TestCheckMatrix:
