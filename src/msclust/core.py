@@ -52,9 +52,8 @@ def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     holds, so b == 0 forces a == 0 and the 0 result matches the
     convention that a point with zero distance to two medoids has a
     perfect silhouette. b may be +inf (the d3 sentinel for k == 2), in
-    which case the ratio is 0 as well.
+    which case the ratio is 0 as well. Both are float64 arrays.
     """
-    b = np.asarray(b, dtype=float)
     return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b > 0)
 
 
@@ -63,14 +62,24 @@ def block_rows(n: int) -> int:
     return max(1, SCAN_BUDGET // n)
 
 
-def square_matrix(values) -> np.ndarray:
-    """values as a square float64 array, not copied if it is one already.
-    Raises MatrixError for a non-numeric entry or a non-square shape; it
-    reads no value, so it costs nothing on an array check_matrix passed."""
+def real_array(values, error: type[ValueError], what: str) -> np.ndarray:
+    """values as a float64 array, not copied if it is one already. Raises
+    error(what) unless numpy reads an integer or float array: booleans,
+    strings, bytes, complex values, dates, objects and ragged lists fail."""
     try:
-        m = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MatrixError(f"matrix is not numeric ({exc})") from None
+        a = np.asarray(values)
+    except ValueError as exc:  # a ragged nested list
+        raise error(f"{what} ({exc})") from None
+    if a.dtype.kind not in "iuf":
+        raise error(f"{what} (dtype {a.dtype})")
+    return a.astype(float, copy=False)
+
+
+def square_matrix(values) -> np.ndarray:
+    """values as a square real_array. Raises MatrixError for a non-real
+    dtype or a non-square shape; it reads no value, so it costs nothing on
+    an array check_matrix passed."""
+    m = real_array(values, MatrixError, "matrix is not numeric")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise MatrixError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -103,16 +112,10 @@ def check_integers(**values) -> None:
 
 
 def check_medoids(medoids, n: int) -> np.ndarray:
-    """Validate a medoid set: k distinct indices in [0, n), 2 <= k < n.
-    Whole-number floats such as 3.0 are indices; 0.5 and True are not.
-    Returns a new intp array, so the caller may change it."""
-    try:
-        m = np.asarray(medoids)
-        if m.dtype == bool:
-            raise TypeError
-        m = m.astype(float)
-    except (TypeError, ValueError):
-        raise MedoidError("medoid indices must be integers") from None
+    """Validate a medoid set: k distinct indices in [0, n), 2 <= k < n, as
+    a real_array of whole numbers (3.0 is an index; 0.5, True and '3' are
+    not). Returns a new intp array, so the caller may change it."""
+    m = real_array(medoids, MedoidError, "medoid indices must be integers")
     if m.ndim != 1:
         raise MedoidError("medoids must be a flat index list")
     k = len(m)
@@ -128,7 +131,7 @@ def check_medoids(medoids, n: int) -> np.ndarray:
 
 
 def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
-    """Pairwise dissimilarity matrix from a list of numeric vectors.
+    """Pairwise dissimilarity matrix from a real_array of point vectors.
 
     Each entry sums the per-coordinate terms |x - y| (manhattan) or
     (x - y)**2 in coordinate order, then takes the square root for
@@ -138,10 +141,7 @@ def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
     """
     if metric not in METRICS:
         raise InputError(f"unknown metric {metric!r}, choose from {METRICS}")
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"points are not numeric vectors ({exc})") from None
+    pts = real_array(points, InputError, "points are not numeric vectors")
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:

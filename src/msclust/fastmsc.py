@@ -20,10 +20,10 @@ The key pieces:
   a block frees would go back to the system and be faulted in again by
   the next block; ``cli.main`` raises both thresholds at start.
 * ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax.
-* ``_swap_if_sum_rises``: a scored swap is kept only if the fresh
-  ``ams_sum`` rises by more than ``EPS_GAIN`` (pammedsil's rule), else it
-  is swapped back uncounted. The scan totals round differently, and from
-  n near 2000 a swap for an exact duplicate (true gain 0) can score above
+* ``_swap_if_sum_rises``: a scored swap is kept and counted only if the
+  fresh ``ams_sum`` rises by more than ``EPS_GAIN`` (pammedsil's rule),
+  else it is swapped back. The scan totals round differently, and from n
+  near 2000 a swap for an exact duplicate (true gain 0) can score above
   ``EPS_GAIN``; keeping it would cycle.
 * ``fastmsc``: steepest descent, each swap one ``update_caches_after_swap``
   call; identical to the naive pammedsil under the shared tie-breaks.
@@ -205,8 +205,8 @@ def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
 
 
 def update_caches_after_swap(state: OptimizerState, position: int, replacement: int) -> None:
-    """Swap medoids[position] for replacement, refresh the neighbor
-    cache and count the swap.
+    """Swap medoids[position] for replacement and refresh the neighbor
+    cache; the caller counts a swap it keeps.
 
     A point rescans the full medoid set iff the replaced or the new
     medoid is within its d3 (a replaced nearest or second nearest was at
@@ -218,21 +218,20 @@ def update_caches_after_swap(state: OptimizerState, position: int, replacement: 
     state.is_medoid[replacement] = True
     state.medoids[position] = replacement
     _rescan(state, np.flatnonzero(near))
-    state.swaps += 1
 
 
 def _swap_if_sum_rises(state: OptimizerState, position: int, replacement: int,
                        before: float) -> float | None:
-    """Apply the swap and return the new ams_sum if it exceeds before,
-    the current sum, by more than EPS_GAIN. Otherwise swap back, which
-    restores the cache bit for bit, count neither swap and return None."""
+    """Apply the swap; if the new ams_sum exceeds before, the current sum,
+    by more than EPS_GAIN, count it and return the new sum. Otherwise swap
+    back, which restores the cache bit for bit, and return None."""
     old = int(state.medoids[position])
     update_caches_after_swap(state, position, replacement)
     after = state.ams_sum
     if after - before > EPS_GAIN:
+        state.swaps += 1
         return after
     update_caches_after_swap(state, position, old)
-    state.swaps -= 2
     return None
 
 

@@ -155,27 +155,50 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-@pytest.mark.parametrize("call", [
-    lambda m: pamsil(m, [0, 1]),
-    lambda m: pammedsil(m, [0, 1]),
-    lambda m: fastmsc(m, [0, 1]),
-    lambda m: fastermsc(m, [0, 1]),
-    lambda m: dynmsc(m, k_max=3),
-    lambda m: ams(m, [0, 2]),
-    lambda m: medoid_silhouette(m, [0, 2]),
-    lambda m: silhouette(m, [0, 0, 1, 1]),
-    lambda m: init_build(m, 2),
-    lambda m: nearest_three_all(m, [0, 2]),
-], ids=["pamsil", "pammedsil", "fastmsc", "fastermsc", "dynmsc", "ams",
-        "medoid_silhouette", "silhouette", "init_build", "nearest_three_all"])
-def test_a_nested_list_matrix_gives_the_array_result(call):
-    assert _same(call(LINE_LIST), call(np.array(LINE_LIST, dtype=float)))
+# each call on LINE_LIST, and on LINE_LIST as an int64 and a float32 array
+ON_LINE = {
+    "pamsil": lambda m: pamsil(m, [0, 1]),
+    "pammedsil": lambda m: pammedsil(m, [0, 1]),
+    "fastmsc": lambda m: fastmsc(m, [0, 1]),
+    "fastermsc": lambda m: fastermsc(m, [0, 1]),
+    "dynmsc": lambda m: dynmsc(m, k_max=3),
+    "ams": lambda m: ams(m, [0, 2]),
+    "medoid_silhouette": lambda m: medoid_silhouette(m, [0, 2]),
+    "silhouette": lambda m: silhouette(m, [0, 0, 1, 1]),
+    "init_build": lambda m: init_build(m, 2),
+    "nearest_three_all": lambda m: nearest_three_all(m, [0, 2]),
+}
+LINE_FORMS = {
+    "": LINE_LIST,
+    "-int64": np.array(LINE_LIST, dtype=np.int64),
+    "-float32": np.array(LINE_LIST, dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("call,matrix", [
+    (call, matrix) for call in ON_LINE.values() for matrix in LINE_FORMS.values()
+], ids=[name + form for name in ON_LINE for form in LINE_FORMS])
+def test_a_nested_list_matrix_gives_the_array_result(call, matrix):
+    assert _same(call(matrix), call(np.array(LINE_LIST, dtype=float)))
 
 
 # a 30-point instance for the argument checks below
 POINTS_30 = np.random.default_rng(0).random((30, 2))
 NOT_NUMERIC = [[0, 1, "x"], [1, 0, 1], [2, 1, 0]]
 NOT_SQUARE = np.zeros((30, 31))
+# LINE_LIST with a dtype that is not integer or float; each would pass
+# check_matrix after a float conversion
+NOT_REAL = {
+    "strings": np.array(LINE_LIST).astype(str),
+    "complex": np.array(LINE_LIST) + 1j * np.array(LINE_LIST),
+    "bool": np.array(LINE_LIST) > 0,
+    "datetime64": np.array(LINE_LIST).astype("datetime64[s]"),
+    "object": np.array(LINE_LIST, dtype=object),
+}
+GATED = ("ams", "fastmsc", "dynmsc", "silhouette", "init_build", "nearest_three_all")
+NOT_REAL_CASES = [(lambda call=ON_LINE[name], m=m: call(m), "matrix is not numeric \\(dtype")
+                  for name in GATED for m in NOT_REAL.values()]
+NOT_REAL_IDS = [f"{name}-{kind}" for name in GATED for kind in NOT_REAL]
 
 
 @pytest.mark.parametrize("call,message", [
@@ -189,17 +212,21 @@ NOT_SQUARE = np.zeros((30, 31))
     (lambda: nearest_three_all(NOT_SQUARE, [0, 1]), "square matrix"),
     (lambda: init_build(NOT_SQUARE, 2), "square matrix"),
     (lambda: silhouette(NOT_SQUARE, [0, 1] * 15), "square matrix"),
+    (lambda: ams([[0, 1], [1]], [0, 1]), "matrix is not numeric"),
+    *NOT_REAL_CASES,
 ], ids=["silhouette-3x2", "ams-string", "fastmsc-string", "ams-scalar", "ams-30x31",
         "medoid_silhouette-30x31", "nearest_three_all-30x31", "init_build-30x31",
-        "silhouette-30x31"])
+        "silhouette-30x31", "ams-ragged", *NOT_REAL_IDS])
 def test_every_matrix_argument_passes_one_gate(call, message):
     with pytest.raises(MatrixError, match=message):
         call()
 
 
 def test_non_numeric_points_are_an_input_error():
-    with pytest.raises(InputError, match="points are not numeric vectors"):
-        build_matrix([["a"], [1], [2]])
+    for points in ([["a"], [1], [2]], [["0"], ["1"], ["2.5"]], np.array([[1 + 1j], [2], [3]]),
+                   [[True], [False], [True]], [[0, 1], [1], [2, 3]]):
+        with pytest.raises(InputError, match="points are not numeric vectors"):
+            build_matrix(points)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -216,9 +243,18 @@ def test_non_numeric_points_are_an_input_error():
     (lambda m: init_random(10, 3, seed=True), "seed must be an integer, got True"),
     (lambda m: fastmsc(m, [True, False]), "medoid indices must be integers"),
     (lambda m: fastmsc(m, np.array([False, True, True])), "medoid indices must be integers"),
+    (lambda m: fastmsc(m, ["0", "3", "7"]), "medoid indices must be integers"),
+    (lambda m: ams(m, [" 3", "7"]), "medoid indices must be integers"),
+    (lambda m: ams(m, [3 + 1j, 7]), "medoid indices must be integers"),
+    (lambda m: fastmsc(m, np.array([0, 3, 7], dtype="datetime64[D]")),
+     "medoid indices must be integers"),
+    (lambda m: fastmsc(m, np.array([0, 3, 7], dtype=object)), "medoid indices must be integers"),
+    (lambda m: ams(m, [[0], [3, 7]]), "medoid indices must be integers"),
 ], ids=["init_random-seed", "dynmsc-seed", "init_random-k", "init_random-float-seed",
         "init_build-k", "dynmsc-k_max", "dynmsc-k_min", "fastmsc-half", "fastermsc-nan",
-        "ams-string", "init_random-bool-seed", "fastmsc-bool-list", "fastmsc-bool-array"])
+        "ams-string", "init_random-bool-seed", "fastmsc-bool-list", "fastmsc-bool-array",
+        "fastmsc-numeric-strings", "ams-padded-string", "ams-complex", "fastmsc-datetime64",
+        "fastmsc-object", "ams-ragged"])
 def test_integer_arguments_are_checked(call, message):
     with pytest.raises(MedoidError, match=message):
         call(build_matrix(POINTS_30))

@@ -97,6 +97,7 @@ def reference_eager(state, max_iter):
                 before, old = state.ams_sum, int(state.medoids[i])
                 fm.update_caches_after_swap(state, i, j)
                 if state.ams_sum - before > EPS_GAIN:
+                    state.swaps += 1
                     is_medoid[old] = False
                     is_medoid[j] = True
                     made.append((i, j))
@@ -105,7 +106,6 @@ def reference_eager(state, max_iter):
                     visited = 0
                 else:
                     fm.update_caches_after_swap(state, i, old)
-                    state.swaps -= 2
         j = (j + 1) % n
         visited += 1
         steps += 1
