@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import statistics
 import sys
 import time
 
@@ -219,7 +218,7 @@ def _time_cell(fn, matrix, m0, args):
             return "timeout", "", ""
         if run:
             times.append(elapsed)
-    return statistics.median(times), result.swaps, result.iterations
+    return float(np.median(times)), result.swaps, result.iterations
 
 
 def cmd_eval(args) -> str:

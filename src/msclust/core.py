@@ -32,6 +32,8 @@ EPS_GAIN = 1e-12
 
 DEFAULT_MAX_ITER = 1000
 
+TINY = np.finfo(float).smallest_subnormal  # the smallest positive float64
+
 
 class MatrixError(ValueError):
     """The dissimilarity matrix violates a structural invariant."""
@@ -46,15 +48,16 @@ class InputError(ValueError):
 
 
 def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a / b where b > 0, else 0.
+    """Elementwise a / max(b, TINY): a / b where b > 0 (bit for bit, as no
+    positive float64 is below TINY), else a.
 
-    Wherever ratios appear in the Medoid Silhouette formulas, a <= b
-    holds, so b == 0 forces a == 0 and the 0 result matches the
-    convention that a point with zero distance to two medoids has a
-    perfect silhouette. b may be +inf (the d3 sentinel for k == 2), in
-    which case the ratio is 0 as well. Both are float64 arrays.
+    Wherever ratios appear in the Medoid Silhouette formulas, 0 <= a <= b
+    holds, so b == 0 forces a == 0: a point with zero distance to two
+    medoids has a perfect silhouette. Only a -0.0 matrix entry can make the
+    result -0.0 rather than 0. b may be +inf (the d3 sentinel for k == 2),
+    and the ratio is 0 then. Both are float64 arrays.
     """
-    return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b > 0)
+    return np.divide(a, np.maximum(b, TINY))
 
 
 def block_rows(n: int) -> int:
@@ -89,15 +92,20 @@ def check_matrix(values) -> np.ndarray:
     """Validate and return a dissimilarity matrix as a float64 array.
 
     Raises MatrixError unless the matrix is square, finite, non-negative,
-    exactly symmetric, and zero on the diagonal.
+    exactly symmetric, and zero on the diagonal. A NaN reaches the min and
+    the max, so it is reported as non-finite before any negative entry;
+    symmetry is compared in row blocks of the upper triangle.
     """
     m = square_matrix(values)
-    if not np.all(np.isfinite(m)):
+    lo, hi = m.min(initial=0.0), m.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise MatrixError("matrix contains non-finite values")
-    if np.any(m < 0):
+    if lo < 0:
         raise MatrixError("matrix contains negative dissimilarities")
-    if not np.array_equal(m, m.T):
-        raise MatrixError("matrix is not symmetric")
+    s = block_rows(len(m) or 1)
+    for i in range(0, len(m), s):
+        if (m[i:i + s, i:] != m[i:, i:i + s].T).any():
+            raise MatrixError("matrix is not symmetric")
     if np.any(np.diag(m) != 0):
         raise MatrixError("matrix diagonal is not zero")
     return m
@@ -185,13 +193,16 @@ class NeighborCache:
 
 
 def top3(d: np.ndarray) -> NeighborCache:
-    """NeighborCache of a points x medoids distance block. Ties go to
-    the lower medoid position."""
-    order = np.argsort(d, axis=1, kind="stable")
+    """NeighborCache of a points x medoids distance block. Ties go to the
+    lower medoid position, the first minimum argmin takes from a copy in
+    which each taken entry becomes +inf (so d3 = +inf when k == 2)."""
     rows = np.arange(len(d))
-    n1, n2 = order[:, 0], order[:, 1]
-    d3 = d[rows, order[:, 2]] if d.shape[1] > 2 else np.full(len(d), np.inf)
-    return NeighborCache(n1, n2, d[rows, n1], d[rows, n2], d3)
+    t = d.copy()
+    n1 = t.argmin(axis=1)
+    d1, t[rows, n1] = t[rows, n1], np.inf
+    n2 = t.argmin(axis=1)
+    d2, t[rows, n2] = t[rows, n2], np.inf
+    return NeighborCache(n1, n2, d1, d2, t.min(axis=1))
 
 
 def nearest_three_all(matrix: np.ndarray, medoids) -> NeighborCache:

@@ -46,7 +46,7 @@ def remove_medoid(state: OptimizerState, position: int) -> None:
     state.medoids = np.delete(state.medoids, position)
     c.n1 -= c.n1 > position
     c.n2 -= c.n2 > position
-    _rescan(state, np.flatnonzero(need))
+    _rescan(state, need.nonzero()[0])
 
 
 def dynmsc(

@@ -7,13 +7,15 @@ The key pieces:
   matrix that the public caller has passed through ``check_matrix``. Every
   ``_rescan`` (after a swap or a removal) ends in ``_refresh_derived``,
   which alone derives the removal losses (the change in the silhouette
-  sum if a medoid were deleted). ``ams_sum`` sums ``medoid_widths`` over
-  the cache, as ``silhouette.medoid_result`` does for the reported AMS.
+  sum if a medoid were deleted). ``ams_sum`` sums 1 - r12, which is
+  ``medoid_widths`` over the cache, as ``silhouette.medoid_result`` does.
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
   medoid is replaced, in whole-array passes over the (candidate, point)
-  pairs with d(o, j) < d3(o). A block holds at most ``core.SCAN_BUDGET``
+  pairs with d(o, j) < d3(o), in the cheapest numpy calls that give the
+  same bits: an eager block or swap pays more for its 40-odd calls than
+  for its arithmetic. A block holds at most ``core.SCAN_BUDGET``
   = 2**15 distances, so each of its temporaries is at most 256 KiB
   whatever n is. Together they exceed glibc's trim threshold (128 KiB,
   or twice the largest freed mmapped chunk once it adapts), so the heap
@@ -61,7 +63,7 @@ from .core import (
     safe_ratio_arr,
     top3,
 )
-from .silhouette import medoid_result, medoid_widths
+from .silhouette import medoid_result
 
 
 @dataclass(frozen=True)
@@ -95,17 +97,20 @@ class OptimizerState:
 
     @property
     def ams_sum(self) -> float:
-        """Unnormalized silhouette sum of the current medoids."""
-        return float(medoid_widths(self.cache.d1, self.cache.d2).sum())
+        """Unnormalized silhouette sum of the current medoids: medoid_widths
+        summed over the cache, from the r12 that every rescan refreshes."""
+        return float((1.0 - self.r12).sum())
 
 
 def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
     """Build a consistent OptimizerState on a matrix check_matrix has passed."""
     medoids = check_medoids(medoids, len(matrix))
+    is_medoid = np.zeros(len(matrix), dtype=bool)
+    is_medoid[medoids] = True
     state = OptimizerState(
         matrix=matrix,
         medoids=medoids,
-        is_medoid=np.isin(np.arange(len(matrix)), medoids),
+        is_medoid=is_medoid,
         cache=nearest_three_all(matrix, medoids),
     )
     _refresh_derived(state)
@@ -139,9 +144,8 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     m, k = len(J), state.k
     rows = state.matrix[J]
     # flat indices of the near pairs, row-major: candidate r, point p
-    flat = np.flatnonzero(rows < c.d3)
-    r = flat // n
-    p = flat - r * n
+    flat = (rows < c.d3).ravel().nonzero()[0]
+    r, p = np.divmod(flat, n)
 
     dv = rows.take(flat)
     d1 = c.d1.take(p)
@@ -153,10 +157,11 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     inner = dv < d2
     r1v = safe_ratio_arr(np.minimum(dv, d1), np.maximum(dv, d1))
     lost = safe_ratio_arr(np.where(inner, d1 + dv, d2), np.where(inner, d2, dv))
-    cn1 = (np.where(inner, r1v, 0.0) + state.r23.take(p)) - lost
+    # inner * x is np.where(inner, x, 0.0) but for a zero's sign, lost in a sum
+    cn1 = (inner * r1v + state.r23.take(p)) - lost
     cn2 = state.r13.take(p) - np.where(inner, r12, r1v)
 
-    shared = np.bincount(r, weights=np.where(inner, r12 - r1v, 0.0), minlength=m)
+    shared = np.bincount(r, weights=inner * (r12 - r1v), minlength=m)
     rk = r * k
     acc = state.removal_loss + np.bincount(rk + c.n1.take(p), weights=cn1,
                                            minlength=m * k).reshape(m, k)
@@ -180,7 +185,7 @@ def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, n
         acc, shared = acc[None], np.array([shared])
     else:
         acc, shared = block_totals(state, J)
-    pos = np.argmax(acc, axis=1)
+    pos = acc.argmax(axis=1)
     return pos, acc[np.arange(len(J)), pos] + shared
 
 
@@ -193,7 +198,7 @@ def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
     positions); ties break toward the lower position, and the earliest
     candidate wins among equal totals.
     """
-    candidates = np.flatnonzero(~state.is_medoid)
+    candidates = (~state.is_medoid).nonzero()[0]
     width = block_rows(len(state.matrix))
     blocks = [_best_positions(state, candidates[start:start + width])
               for start in range(0, len(candidates), width)]
@@ -213,11 +218,11 @@ def update_caches_after_swap(state: OptimizerState, position: int, replacement: 
     d1 or d2 <= d3); the rest keep their records.
     """
     d3 = state.cache.d3
-    near = (state.matrix[state.medoids[position]] <= d3) | (state.matrix[replacement] <= d3)
+    near = np.minimum(state.matrix[state.medoids[position]], state.matrix[replacement]) <= d3
     state.is_medoid[state.medoids[position]] = False
     state.is_medoid[replacement] = True
     state.medoids[position] = replacement
-    _rescan(state, np.flatnonzero(near))
+    _rescan(state, near.nonzero()[0])
 
 
 def _swap_if_sum_rises(state: OptimizerState, position: int, replacement: int,
@@ -238,7 +243,7 @@ def _swap_if_sum_rises(state: OptimizerState, position: int, replacement: int,
 def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
     """Recompute the neighbor records of the points in idx, then what is
     derived from the cache."""
-    t = top3(state.matrix[np.ix_(idx, state.medoids)])
+    t = top3(state.matrix[idx[:, None], state.medoids])
     c = state.cache
     c.n1[idx], c.n2[idx], c.d1[idx], c.d2[idx], c.d3[idx] = t.n1, t.n2, t.d1, t.d2, t.d3
     _refresh_derived(state)
@@ -301,7 +306,7 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     later totals still hold. The first block is one candidate wide, a
     block after a swap cap // 8 rows (about SCAN_BUDGET / 8 distances),
     and each block without a swap doubles the width, up to cap rows.
-    The resume width trades a block's fixed cost of some 35 numpy calls
+    The resume width trades a block's fixed cost of some 40 numpy calls
     against the rows scored past the next swap, which are wasted.
     """
     n = len(state.matrix)
@@ -321,9 +326,9 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
             state.iterations += 1
             j = 0
         stop = min(j + width, n, j + n - visited)
-        J = j + np.flatnonzero(~state.is_medoid[j:stop])
+        J = j + (~state.is_medoid[j:stop]).nonzero()[0]
         pos, totals = _best_positions(state, J)
-        for h in np.flatnonzero(totals > EPS_GAIN):
+        for h in (totals > EPS_GAIN).nonzero()[0]:
             after = _swap_if_sum_rises(state, int(pos[h]), int(J[h]), current)
             if after is not None:
                 break

@@ -512,11 +512,13 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_no_scipy():
-    """Every CLI job pays for its imports; scipy's took about 0.5 s."""
+    """Every CLI job pays for its imports; scipy's took about 0.5 s, and
+    statistics with the fractions and decimal it pulls in about 5 ms."""
     src = os.path.dirname(os.path.dirname(msclust.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, msclust.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'statistics', 'fractions', 'decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -9,6 +9,7 @@ from msclust import (
     init_build,
     init_random,
 )
+from msclust import core
 from msclust.core import check_matrix, load_matrix_csv, load_points_csv
 from msclust.oracle import nearest_three
 
@@ -77,6 +78,34 @@ class TestCheckMatrix:
         m[0, 1] = m[1, 0] = -1.0
         with pytest.raises(MatrixError):
             check_matrix(m)
+
+    def test_nan_is_reported_before_a_negative_entry(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = m[1, 0] = -1.0
+        m[2, 3] = m[3, 2] = np.nan
+        with pytest.raises(MatrixError, match="non-finite"):
+            check_matrix(m)
+
+    def test_negative_infinity_is_non_finite(self):
+        m = np.zeros((3, 3))
+        m[0, 2] = m[2, 0] = -np.inf
+        with pytest.raises(MatrixError, match="non-finite"):
+            check_matrix(m)
+
+    def test_asymmetry_in_the_last_row_block_rejected(self, monkeypatch):
+        # blocks of rows 0-2, 3-5 and 6-8: the pair (7, 8) is in the last
+        n = 9
+        monkeypatch.setattr(core, "SCAN_BUDGET", 3 * n)
+        m = uniform_instance(n, seed=4)
+        check_matrix(m)
+        m[7, 8] += 1.0
+        with pytest.raises(MatrixError, match="not symmetric"):
+            check_matrix(m)
+
+    def test_negative_zeros_pass(self):
+        m = np.zeros((3, 3))
+        m[0, 1] = m[1, 0] = m[1, 1] = -0.0
+        assert check_matrix(m) is m
 
 
 class TestNearestThree:

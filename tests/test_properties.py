@@ -18,6 +18,7 @@ from msclust import ams, dynmsc, fastermsc, fastmsc, init_random, nearest_three_
 from msclust.cli import main
 from msclust.dynmsc import remove_medoid
 from msclust.fastmsc import make_state, update_caches_after_swap
+from msclust.silhouette import medoid_widths
 
 SETTINGS = settings(deadline=None, max_examples=100)
 
@@ -55,6 +56,8 @@ def assert_cache_is_fresh(state):
         np.testing.assert_array_equal(getattr(state.cache, name), getattr(fresh.cache, name))
     np.testing.assert_array_equal(state.removal_loss, fresh.removal_loss)
     np.testing.assert_array_equal(state.is_medoid, fresh.is_medoid)
+    c = state.cache
+    assert state.ams_sum == float(medoid_widths(c.d1, c.d2).sum())
 
 
 def assert_truthful(matrix, result):

@@ -2,8 +2,11 @@
 
 ``reference_candidate_totals`` is the scalar per-candidate formula with
 one masked pass per case, and ``reference_eager`` is the eager search
-that scores one candidate at a time. Both are kept here as references
-only: the package scores every candidate through ``block_totals``.
+that scores one candidate at a time. ``reference_block_totals`` is the
+block kernel as it was written before it was cut to fewer numpy calls,
+on the masked-divide ``reference_safe_ratio``. All are kept here as
+references only: the package scores every candidate through
+``block_totals``.
 """
 
 import importlib
@@ -15,6 +18,7 @@ from msclust import build_matrix, core, fastmsc, init_random
 from msclust.fastmsc import make_state
 from msclust.core import safe_ratio_arr
 from msclust.naive import EPS_GAIN
+from msclust.oracle import nearest_three
 
 from helpers import duplicate_grid, uniform_instance
 
@@ -63,6 +67,37 @@ def reference_candidate_totals(state, j):
 
     acc += np.bincount(c.n1[near], weights=cn1, minlength=state.k)
     acc += np.bincount(c.n2[near], weights=cn2, minlength=state.k)
+    return acc, shared
+
+
+def reference_safe_ratio(a, b):
+    return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b > 0)
+
+
+def reference_block_totals(state, J):
+    c = state.cache
+    n = len(state.matrix)
+    m, k = len(J), state.k
+    rows = state.matrix[J]
+    flat = np.flatnonzero(rows < c.d3)
+    r = flat // n
+    p = flat - r * n
+
+    dv = rows.take(flat)
+    d1 = c.d1.take(p)
+    d2 = c.d2.take(p)
+    r12 = state.r12.take(p)
+    inner = dv < d2
+    r1v = reference_safe_ratio(np.minimum(dv, d1), np.maximum(dv, d1))
+    lost = reference_safe_ratio(np.where(inner, d1 + dv, d2), np.where(inner, d2, dv))
+    cn1 = (np.where(inner, r1v, 0.0) + state.r23.take(p)) - lost
+    cn2 = state.r13.take(p) - np.where(inner, r12, r1v)
+
+    shared = np.bincount(r, weights=np.where(inner, r12 - r1v, 0.0), minlength=m)
+    rk = r * k
+    acc = state.removal_loss + np.bincount(rk + c.n1.take(p), weights=cn1,
+                                           minlength=m * k).reshape(m, k)
+    acc += np.bincount(rk + c.n2.take(p), weights=cn2, minlength=m * k).reshape(m, k)
     return acc, shared
 
 
@@ -168,6 +203,55 @@ def test_block_totals_match_scalar_formula(kind, make, seed):
             assert abs(shared[r] - ref_shared) <= 1e-12
             one_acc, one_shared = fm.candidate_totals(state, int(j))
             assert np.array_equal(one_acc, acc[r]) and one_shared == shared[r]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind,make,seed", INSTANCES)
+def test_block_totals_match_the_reference_kernel(kind, make, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 60))
+    mat = make(n, seed)
+    for k in (2, 3, 7):
+        state = make_state(mat, init_random(n, k, seed=seed))
+        J = np.flatnonzero(~state.is_medoid)
+        for got, want in zip(fm.block_totals(state, J), reference_block_totals(state, J)):
+            assert_same_bits(got, want)
+
+
+def test_block_totals_match_the_reference_kernel_at_scale():
+    state = make_state(blob_grid(0), init_random(640, 20, seed=0))
+    J = np.flatnonzero(~state.is_medoid)
+    for got, want in zip(fm.block_totals(state, J), reference_block_totals(state, J)):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 20])
+@pytest.mark.parametrize("seed", range(3))
+def test_top3_matches_the_sorting_oracle_on_ties(k, seed):
+    # distances 0-6 between points on a 4x4 grid: duplicates and ties everywhere
+    mat = tied_instance(60, seed)
+    medoids = init_random(60, k, seed=seed)
+    for cache in (core.top3(mat[:, medoids]), core.nearest_three_all(mat, medoids)):
+        for o in range(60):
+            rec = nearest_three(mat, medoids, o)
+            got = tuple(getattr(cache, f)[o] for f in ("n1", "n2", "d1", "d2", "d3"))
+            assert got == (rec.n1, rec.n2, rec.d1, rec.d2, rec.d3)
+
+
+def test_safe_ratio_matches_the_masked_divide():
+    rng = np.random.default_rng(3)
+    b = np.concatenate([[0.0, 0.0, np.inf, np.inf, core.TINY, core.TINY],
+                        rng.random(200) * 10.0 ** rng.integers(-300, 300, 200)])
+    a = np.concatenate([[0.0, 0.0, 0.0, 7.5, 0.0, core.TINY], b[6:] * rng.random(200)])
+    b[1] = -0.0
+    assert_same_bits(safe_ratio_arr(a, b), reference_safe_ratio(a, b))
+    # 0 / 0 keeps the sign of a's zero; only a -0.0 entry can give -0.0
+    assert safe_ratio_arr(np.array([-0.0]), np.array([0.0]))[0] == 0.0
 
 
 def test_block_totals_do_not_depend_on_the_block():
