@@ -6,10 +6,12 @@ Verbs:
   bench    timing grid over (n, k, algorithm) cells on synthetic data
   eval     ARI/NMI between two label files
 
-cluster runs its restarts one after another and reports the best; among
-equal qualities the earliest restart wins. BUILD without --shuffle is
-deterministic, so it runs once. Each verb returns its output text; main
-alone writes it to --output or stdout and maps errors to exit codes.
+cluster deals its restarts across the usable CPUs (restrict them with
+taskset) and reports the best; among equal qualities the earliest
+restart wins, so the output is the same as on one CPU. BUILD without
+--shuffle is deterministic, so it runs once. Each verb returns its
+output text; main alone writes it to --output or stdout and maps errors
+to exit codes.
 
 Exit codes: 0 success, 1 invalid configuration, 2 unreadable or
 malformed input, 3 dissimilarity-matrix invariant violation.
@@ -20,6 +22,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
+import pickle
 import sys
 import time
 
@@ -106,6 +110,107 @@ def _run_once(matrix: np.ndarray, args, seed: int):
     return result
 
 
+def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
+    """The results of restarts 0 .. restarts-1, in restart order.
+
+    Restart r runs in worker r % workers, one worker per usable CPU up to
+    the number of restarts: worker 0 is this process, the others are
+    children made with os.fork. A share whose child sends no result runs
+    here instead. The lowest failing restart's error is raised, as it
+    would be one restart after another; on any other error or interrupt
+    the children are killed and reaped first."""
+    cpus = getattr(os, "sched_getaffinity", None)
+    workers = min(len(cpus(0)), restarts) if cpus else 1
+    if workers == 1:
+        return [_run_once(matrix, args, args.seed + r) for r in range(restarts)]
+    shares = [range(w, restarts, workers) for w in range(workers)]
+    outcomes = [None] * workers
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            child = _fork_share(matrix, args, shares[w])
+            if child:
+                children[w] = child
+        outcomes[0] = _run_share(matrix, args, shares[0])
+        for w in list(children):
+            outcomes[w] = _receive(*children[w])
+            del children[w]
+    finally:
+        for pid, reader in children.values():
+            _kill(pid, reader)
+    results = []
+    for r in range(restarts):
+        w = r % workers
+        if outcomes[w] is None:  # no child, or it died before it sent its share
+            outcomes[w] = _run_share(matrix, args, shares[w])
+        ok, value = outcomes[w][r // workers]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _run_share(matrix, args, share: range) -> list:
+    """(ok, result or exception) of the restarts in share, up to the first
+    that fails: a later one cannot be the lowest failing restart."""
+    outcomes = []
+    for r in share:
+        try:
+            outcomes.append((True, _run_once(matrix, args, args.seed + r)))
+        except Exception as exc:  # raised again, in restart order, by _run_restarts
+            outcomes.append((False, exc))
+            break
+    return outcomes
+
+
+def _fork_share(matrix, args, share: range):
+    """(pid, read end) of a child that pickles _run_share's outcomes into a
+    pipe, or None if os.fork fails. The child writes nothing else and ends
+    in os._exit: it never returns into main nor runs an atexit handler."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            data = pickle.dumps(_run_share(matrix, args, share))
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(pid: int, reader):
+    """The outcomes a child sent, or None if it exited without sending
+    them all; the child is reaped either way."""
+    with reader:
+        data = reader.read()
+    _, status = os.waitpid(pid, 0)
+    if data and os.waitstatus_to_exitcode(status) == 0:
+        return pickle.loads(data)
+    return None
+
+
+def _kill(pid: int, reader) -> None:
+    """Kill and reap a child after an error or interrupt here."""
+    import signal  # only this error path needs it, and it costs 2 ms to import
+
+    reader.close()
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):  # reaped just before the interrupt
+        pass
+
+
 def cmd_cluster(args) -> str:
     _require_at_least(1, restarts=args.restarts, max_iter=args.max_iter)
     _require_at_least(0, seed=args.seed)
@@ -113,7 +218,7 @@ def cmd_cluster(args) -> str:
 
     restarts = args.restarts if args.shuffle or args.init == "random" else 1
     started = time.perf_counter()
-    results = [_run_once(matrix, args, args.seed + r) for r in range(restarts)]
+    results = _run_restarts(matrix, args, restarts)
     # only pamsil sets asw, the quality it optimizes
     best = max(results, key=lambda r: r.ams if r.asw is None else r.asw)
     seconds = time.perf_counter() - started

@@ -131,7 +131,8 @@ def check_medoids(medoids, n: int) -> np.ndarray:
         raise MedoidError(f"need 2 <= k < n, got k={k}, n={n}")
     if np.any(m != np.floor(m)):
         raise MedoidError("medoid indices must be integers")
-    if len(np.unique(m)) != k:
+    s = np.sort(m)  # not np.unique, which imports numpy.ma on numpy 2
+    if (s[1:] == s[:-1]).any():
         raise MedoidError("medoid indices must be distinct")
     if np.any(m < 0) or np.any(m >= n):
         raise MedoidError("medoid index out of range")

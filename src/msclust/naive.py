@@ -32,7 +32,7 @@ def _asw_sum(matrix: np.ndarray, medoids: np.ndarray) -> float:
     """Unnormalized sum of full Silhouette values under nearest-medoid
     assignment (lowest position wins ties); -inf if only one cluster."""
     labels = np.argmin(matrix[:, medoids], axis=1)
-    if len(np.unique(labels)) < 2:
+    if labels.min() == labels.max():
         return -np.inf
     return float(silhouette(matrix, labels).per_point.sum())
 

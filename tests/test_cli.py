@@ -2,6 +2,7 @@ import ctypes
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import msclust
 from msclust import ams, build_matrix, dynmsc, fastermsc, init_random, silhouette
 from msclust import cli
 from msclust.cli import main
-from msclust.core import load_points_csv
+from msclust.core import MedoidError, load_points_csv
 
 from helpers import LINE_POINTS, OVERFLOW_IDS, OVERFLOWS
 
@@ -162,14 +163,15 @@ class TestCluster:
         (["--shuffle"], 5),
     ])
     def test_build_init_runs_once_unless_shuffled(self, line_csv, monkeypatch, capsys,
-                                                  extra, calls):
+                                                  tmp_path, extra, calls):
         import msclust.cli as cli
 
-        seen = []
+        seen = tmp_path / "calls"  # a file, so that calls made in a worker count too
         real = cli.ALGORITHMS["fastmsc"]
 
         def counting(matrix, medoids, max_iter):
-            seen.append(1)
+            with open(seen, "a", encoding="utf-8") as fh:
+                fh.write("call\n")
             return real(matrix, medoids, max_iter=max_iter)
 
         monkeypatch.setitem(cli.ALGORITHMS, "fastmsc", counting)
@@ -177,7 +179,7 @@ class TestCluster:
                    "--init", "build", "--restarts", "5", *extra])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["ams"] == pytest.approx(0.95)
-        assert len(seen) == calls
+        assert len(seen.read_text(encoding="utf-8").splitlines()) == calls
 
     def test_matrix_kind(self, tmp_path, capsys):
         from msclust import build_matrix
@@ -231,6 +233,159 @@ class TestCluster:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(set(payload["labels"])) == 2
+
+
+def use_cpus(monkeypatch, count):
+    """The test seam for the usable CPUs cluster deals its restarts across."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRestartWorkers:
+    """cluster deals restart r to worker r % workers: this process and a
+    forked child for each further usable CPU. The output must be the one
+    restarts run one after another give, and no child may outlive main."""
+
+    @pytest.fixture
+    def points(self, tmp_path):
+        # uniform points at k=6: restarts end in different local optima
+        path = tmp_path / "points.csv"
+        write_points(path, np.random.default_rng(2).random((40, 2)).tolist())
+        return str(path)
+
+    @staticmethod
+    def run(argv, capsys):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert_no_child_left()
+        return rc, re.sub(r'"seconds": [^,}]*', '"seconds": 0', out), err
+
+    @pytest.mark.parametrize("algorithm", [
+        ["fastermsc"], ["fastmsc"],
+        ["pammedsil", "--max-iter", "2"], ["pamsil", "--max-iter", "2"],
+    ], ids=lambda a: a[0])
+    @pytest.mark.parametrize("shuffle", [[], ["--shuffle"]], ids=["", "shuffle"])
+    def test_workers_give_the_sequential_output(self, points, monkeypatch, capsys,
+                                                algorithm, shuffle):
+        base = ["cluster", "--input", points, "--k", "6", "--seed", "4",
+                "--algorithm", *algorithm, *shuffle]
+        for extra in (*(["--restarts", str(r)] for r in range(1, 6)),
+                      ["--restarts", "5", "--format", "csv"]):
+            use_cpus(monkeypatch, 1)
+            sequential = self.run(base + extra, capsys)
+            assert sequential[0] == 0
+            for cpus in (2, 3):
+                use_cpus(monkeypatch, cpus)
+                assert self.run(base + extra, capsys) == sequential, (extra, cpus)
+
+    @pytest.mark.parametrize("failing,reported", [
+        ({2, 4}, 2),   # in both children: the lower wins
+        ({2, 3}, 2),   # 3 fails in this process, 2 in a child
+    ])
+    def test_the_lowest_failing_restart_is_reported(self, points, monkeypatch, capsys,
+                                                    failing, reported):
+        parent, real = os.getpid(), cli._run_once
+
+        def flaky(matrix, args, seed):
+            if seed in failing and (os.getpid() != parent or seed == 3):
+                raise MedoidError(f"restart {seed} failed")
+            return real(matrix, args, seed)
+
+        monkeypatch.setattr(cli, "_run_once", flaky)
+        use_cpus(monkeypatch, 3)
+        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5"]
+        assert self.run(argv, capsys) == (
+            1, "", f"msclust: invalid configuration: restart {reported} failed\n")
+
+    @pytest.mark.parametrize("loss", ["exit", "fork"])
+    def test_a_lost_worker_gives_the_sequential_output(self, points, monkeypatch, capsys,
+                                                       loss):
+        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
+        use_cpus(monkeypatch, 1)
+        sequential = self.run(argv, capsys)
+        parent, real = os.getpid(), cli._run_once
+
+        def dying(matrix, args, seed):
+            if os.getpid() != parent:
+                os._exit(0)  # before the child sends anything
+            return real(matrix, args, seed)
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        if loss == "exit":
+            monkeypatch.setattr(cli, "_run_once", dying)
+        else:
+            monkeypatch.setattr(os, "fork", no_fork)
+        use_cpus(monkeypatch, 3)
+        assert self.run(argv, capsys) == sequential
+
+    def test_an_interrupt_kills_the_workers(self, points, monkeypatch, capsys):
+        parent, real = os.getpid(), cli._run_once
+
+        def interrupted(matrix, args, seed):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif seed == 3:
+                raise KeyboardInterrupt
+            return real(matrix, args, seed)
+
+        monkeypatch.setattr(cli, "_run_once", interrupted)
+        use_cpus(monkeypatch, 3)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            main(["cluster", "--input", points, "--k", "6", "--restarts", "5"])
+        assert time.perf_counter() - started < 30
+        assert capsys.readouterr() == ("", "")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("argv,cpus", [
+        (["--restarts", "1"], 3),
+        (["--init", "build"], 3),   # one run without --shuffle
+        (["--restarts", "5"], 1),
+        (["--restarts", "5"], None),  # no os.sched_getaffinity, as on macOS
+    ])
+    def test_one_run_or_cpu_forks_no_worker(self, points, monkeypatch, capsys, argv, cpus):
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            use_cpus(monkeypatch, cpus)
+        assert self.run(["cluster", "--input", points, "--k", "6", *argv], capsys)[0] == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_restarts_come_back_in_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_run_once", lambda matrix, args, seed: seed)
+        use_cpus(monkeypatch, cpus)
+        for restarts in range(1, 8):
+            got = cli._run_restarts(None, types.SimpleNamespace(seed=10), restarts)
+            assert got == list(range(10, 10 + restarts))
+        assert_no_child_left()
+
+    def test_a_worker_never_returns_into_main(self, points):
+        """Each child ends in os._exit: it writes no output and runs no
+        atexit handler of the process it was forked from."""
+        code = ("import atexit, os, sys\n"
+                "import msclust.cli as cli\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                "atexit.register(print, 'atexit')\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(msclust.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "cluster", "--input", points, "--k", "6",
+             "--restarts", "5"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and lines[1] == "atexit"
+        assert len(json.loads(lines[0])["medoids"]) == 6
 
 
 class TestSweep:
@@ -522,6 +677,30 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_a_job_loads_no_numpy_ma_or_multiprocessing(tmp_path):
+    """A job pays for every module it loads: numpy.ma, which np.unique
+    loads on numpy 2, took 14-21 ms, and multiprocessing 26-58 ms. numpy
+    1.24 loads numpy.ma at import, so only what the jobs add is compared."""
+    path = tmp_path / "blobs.csv"
+    write_blobs(path, n=40)
+    out = str(tmp_path / "out")
+    jobs = [["cluster", "--input", str(path), "--k", "4", "--restarts", "3", "-o", out],
+            ["sweep", "--input", str(path), "--k-max", "6", "-o", out]]
+    code = ("import json, os, sys\n"
+            "import msclust.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "before = set(sys.modules)\n"
+            "assert all(cli.main(argv) == 0 for argv in json.loads(sys.argv[1]))\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.split('.')[0] == 'multiprocessing'\n"
+            "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
+    src = os.path.dirname(os.path.dirname(msclust.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(jobs)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 class TestAllocatorThresholds:
