@@ -113,19 +113,15 @@ def _run_once(matrix: np.ndarray, args, seed: int):
 def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
     """The results of restarts 0 .. restarts-1, in restart order.
 
-    Restart r runs in worker r % workers, one worker per usable CPU up to
-    the number of restarts: worker 0 is this process, the others are
-    children made with os.fork. A share whose child sends no result runs
-    here instead. The lowest failing restart's error is raised, as it
-    would be one restart after another; on any other error or interrupt
-    the children are killed and reaped first."""
-    cpus = getattr(os, "sched_getaffinity", None)
-    workers = min(len(cpus(0)), restarts) if cpus else 1
-    if workers == 1:
-        return [_run_once(matrix, args, args.seed + r) for r in range(restarts)]
+    Restart r runs in worker r % workers (see _worker_count): worker 0 is
+    this process, the others are children made with os.fork. A share whose
+    child sends no result runs here instead. The lowest failing restart's
+    error is raised, as it would be one restart after another; on any
+    other error or interrupt the children are killed and reaped first."""
+    workers = _worker_count(matrix, args, restarts)
     shares = [range(w, restarts, workers) for w in range(workers)]
     outcomes = [None] * workers
-    children = {}  # worker -> (pid, read end of its pipe)
+    children = {}  # worker -> (pid, read end of its pipe), until it is received
     try:
         for w in range(1, workers):
             child = _fork_share(matrix, args, shares[w])
@@ -133,11 +129,11 @@ def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
                 children[w] = child
         outcomes[0] = _run_share(matrix, args, shares[0])
         for w in list(children):
-            outcomes[w] = _receive(*children[w])
-            del children[w]
+            outcomes[w] = _receive(*children.pop(w))
     finally:
         for pid, reader in children.values():
-            _kill(pid, reader)
+            reader.close()
+            _kill(pid)
     results = []
     for r in range(restarts):
         w = r % workers
@@ -148,6 +144,19 @@ def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
             raise value
         results.append(value)
     return results
+
+
+def _worker_count(matrix: np.ndarray, args, restarts: int) -> int:
+    """One worker per usable CPU, up to the number of restarts. With
+    --shuffle each worker holds its own shuffled copy of the matrix, so
+    only as many as there is free memory for. Without os.sched_getaffinity
+    (macOS, Windows) there is one. CPU quotas of a cgroup are not seen."""
+    cpus = getattr(os, "sched_getaffinity", None)
+    workers = min(len(cpus(0)), restarts) if cpus else 1
+    if args.shuffle and workers > 1:
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        workers = max(1, min(workers, free // max(matrix.nbytes, 1)))
+    return workers
 
 
 def _run_share(matrix, args, share: range) -> list:
@@ -165,18 +174,21 @@ def _run_share(matrix, args, share: range) -> list:
 
 def _fork_share(matrix, args, share: range):
     """(pid, read end) of a child that pickles _run_share's outcomes into a
-    pipe, or None if os.fork fails. The child writes nothing else and ends
-    in os._exit: it never returns into main nor runs an atexit handler."""
-    read_fd, write_fd = os.pipe()
+    pipe, or None if no pipe or child can be made. The child writes nothing
+    else and ends in os._exit: it never returns into main nor runs an
+    atexit handler."""
+    parent, fds = os.getpid(), ()
     try:
+        fds = read_fd, write_fd = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         return None
     if pid == 0:
         code = 1
         try:
+            _die_with(parent)
             os.close(read_fd)
             data = pickle.dumps(_run_share(matrix, args, share))
             with open(write_fd, "wb") as fh:
@@ -188,26 +200,44 @@ def _fork_share(matrix, args, share: range):
     return pid, open(read_fd, "rb")
 
 
+def _die_with(parent: int) -> None:
+    """Have Linux SIGKILL this child when its parent dies, by a signal
+    too, and exit now if the parent died before that was set."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):  # not Linux: no prctl
+        return
+    prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _receive(pid: int, reader):
     """The outcomes a child sent, or None if it exited without sending
-    them all; the child is reaped either way."""
-    with reader:
-        data = reader.read()
-    _, status = os.waitpid(pid, 0)
+    them all. The child is reaped either way, and killed first if an error
+    or interrupt stops the wait."""
+    try:
+        with reader:
+            data = reader.read()
+        status = os.waitpid(pid, 0)[1]
+    except BaseException:
+        _kill(pid)
+        raise
     if data and os.waitstatus_to_exitcode(status) == 0:
         return pickle.loads(data)
     return None
 
 
-def _kill(pid: int, reader) -> None:
-    """Kill and reap a child after an error or interrupt here."""
-    import signal  # only this error path needs it, and it costs 2 ms to import
-
-    reader.close()
+def _kill(pid: int) -> None:
+    """Kill and reap a child after an error or interrupt here. A pid that
+    is reaped already may belong to another process by now: it is left
+    alone."""
     try:
-        os.kill(pid, signal.SIGKILL)
+        if os.waitpid(pid, os.WNOHANG)[0]:  # it had exited: now reaped
+            return
+        os.kill(pid, 9)  # SIGKILL
         os.waitpid(pid, 0)
-    except (ProcessLookupError, ChildProcessError):  # reaped just before the interrupt
+    except ChildProcessError:  # reaped already
         pass
 
 

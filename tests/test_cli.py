@@ -240,6 +240,15 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def running(pid):
+    """Whether pid is a process that has not exited (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -301,7 +310,7 @@ class TestRestartWorkers:
         assert self.run(argv, capsys) == (
             1, "", f"msclust: invalid configuration: restart {reported} failed\n")
 
-    @pytest.mark.parametrize("loss", ["exit", "fork"])
+    @pytest.mark.parametrize("loss", ["exit", "fork", "pipe"])
     def test_a_lost_worker_gives_the_sequential_output(self, points, monkeypatch, capsys,
                                                        loss):
         argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
@@ -317,10 +326,15 @@ class TestRestartWorkers:
         def no_fork():
             raise OSError(11, "Resource temporarily unavailable")
 
+        def no_pipe():
+            raise OSError(24, "Too many open files")
+
         if loss == "exit":
             monkeypatch.setattr(cli, "_run_once", dying)
-        else:
+        elif loss == "fork":
             monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.setattr(os, "pipe", no_pipe)
         use_cpus(monkeypatch, 3)
         assert self.run(argv, capsys) == sequential
 
@@ -360,12 +374,75 @@ class TestRestartWorkers:
             use_cpus(monkeypatch, cpus)
         assert self.run(["cluster", "--input", points, "--k", "6", *argv], capsys)[0] == 0
 
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_shuffled_workers_fit_in_free_memory(self, points, monkeypatch, capsys, copies):
+        """With --shuffle every worker holds an n x n copy: only as many
+        workers as there is free memory for copies are used."""
+        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
+        use_cpus(monkeypatch, 1)
+        sequential = self.run(argv, capsys)
+        real_sysconf, real_fork, forks = os.sysconf, os.fork, []
+        pages = {"SC_PAGE_SIZE": 40 * 40 * 8, "SC_AVPHYS_PAGES": copies}
+
+        def sysconf(name):
+            return pages[name] if name in pages else real_sysconf(name)
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(monkeypatch, 3)
+        assert self.run(argv, capsys) == sequential
+        assert len(forks) == copies - 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="only Linux kills the children of a killed process")
+    def test_no_worker_outlives_a_killed_command(self, points, tmp_path):
+        pids = tmp_path / "pids"
+        code = ("import os, sys, time\n"
+                "import msclust.cli as cli\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                "def hang(matrix, args, seed):\n"
+                "    with open(sys.argv[1], 'a') as fh:\n"
+                "        fh.write(f'{os.getpid()}\\n')\n"
+                "    time.sleep(60)\n"
+                "cli._run_once = hang\n"
+                "cli.main(sys.argv[2:])\n")
+        src = os.path.dirname(os.path.dirname(msclust.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(pids), "cluster", "--input", points,
+             "--k", "6", "--restarts", "3"], env=dict(os.environ, PYTHONPATH=src))
+        workers = set()
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2:
+                assert time.monotonic() < deadline, "the workers never started"
+                time.sleep(0.05)
+                if pids.exists():
+                    workers = {int(p) for p in pids.read_text().split()} - {proc.pid}
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 10
+        try:
+            while any(map(running, workers)):
+                assert time.monotonic() < deadline, "a worker outlived the command"
+                time.sleep(0.05)
+        finally:
+            for pid in filter(running, workers):
+                os.kill(pid, 9)
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_restarts_come_back_in_order(self, monkeypatch, cpus):
         monkeypatch.setattr(cli, "_run_once", lambda matrix, args, seed: seed)
         use_cpus(monkeypatch, cpus)
         for restarts in range(1, 8):
-            got = cli._run_restarts(None, types.SimpleNamespace(seed=10), restarts)
+            got = cli._run_restarts(None, types.SimpleNamespace(seed=10, shuffle=False),
+                                    restarts)
             assert got == list(range(10, 10 + restarts))
         assert_no_child_left()
 
