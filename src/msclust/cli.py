@@ -116,22 +116,18 @@ def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
     Restart r runs in worker r % workers (see _worker_count): worker 0 is
     this process, the others are children made with os.fork. A share whose
     child sends no result runs here instead. The lowest failing restart's
-    error is raised, as it would be one restart after another; on any
-    other error or interrupt the children are killed and reaped first."""
+    error is raised, as it would be one restart after another. The finally
+    kills and reaps every child not reaped yet, also on an error or interrupt."""
     workers = _worker_count(matrix, args, restarts)
     shares = [range(w, restarts, workers) for w in range(workers)]
-    outcomes = [None] * workers
-    children = {}  # worker -> (pid, read end of its pipe), until it is received
+    children = []  # _fork_share's (pid, read end) or None, for workers 1 ..
     try:
-        for w in range(1, workers):
-            child = _fork_share(matrix, args, shares[w])
-            if child:
-                children[w] = child
-        outcomes[0] = _run_share(matrix, args, shares[0])
-        for w in list(children):
-            outcomes[w] = _receive(*children.pop(w))
+        for share in shares[1:]:
+            children.append(_fork_share(matrix, args, share))
+        outcomes = [_run_share(matrix, args, shares[0])]
+        outcomes += [_receive(*child) if child else None for child in children]
     finally:
-        for pid, reader in children.values():
+        for pid, reader in filter(None, children):
             reader.close()
             _kill(pid)
     results = []
@@ -214,24 +210,17 @@ def _die_with(parent: int) -> None:
 
 def _receive(pid: int, reader):
     """The outcomes a child sent, or None if it exited without sending
-    them all. The child is reaped either way, and killed first if an error
-    or interrupt stops the wait."""
-    try:
-        with reader:
-            data = reader.read()
-        status = os.waitpid(pid, 0)[1]
-    except BaseException:
-        _kill(pid)
-        raise
+    them all. The child is reaped; _run_restarts closes the reader."""
+    data = reader.read()
+    status = os.waitpid(pid, 0)[1]
     if data and os.waitstatus_to_exitcode(status) == 0:
         return pickle.loads(data)
     return None
 
 
 def _kill(pid: int) -> None:
-    """Kill and reap a child after an error or interrupt here. A pid that
-    is reaped already may belong to another process by now: it is left
-    alone."""
+    """Kill and reap a child that is not reaped yet. A pid that is reaped
+    already may belong to another process by now: it is left alone."""
     try:
         if os.waitpid(pid, os.WNOHANG)[0]:  # it had exited: now reaped
             return

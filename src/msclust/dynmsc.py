@@ -27,7 +27,7 @@ class SweepResult:
 
 
 def default_k_max(n: int) -> int:
-    return min(math.isqrt(n - 1) + 1 + 10, n - 1)
+    return min(math.isqrt(max(n - 1, 0)) + 1 + 10, n - 1)
 
 
 def remove_medoid(state: OptimizerState, position: int) -> None:

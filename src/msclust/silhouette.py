@@ -36,10 +36,12 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     matrix = square_matrix(matrix)
     labels = np.asarray(labels)
     n = len(matrix)
+    if labels.ndim != 1:
+        raise InputError("labels must be a flat list")
     if len(labels) != n:
         raise InputError("labels length does not match matrix size")
-    _, idx = np.unique(labels, return_inverse=True)
-    ncl = idx.max() + 1
+    values, idx = np.unique(labels, return_inverse=True)
+    ncl = len(values)
     if ncl < 2:
         raise InputError("need at least 2 clusters")
     counts = np.bincount(idx, minlength=ncl)

@@ -104,13 +104,15 @@ def test_unknown_metric_is_an_input_error():
         build_matrix(LINE_POINTS, metric="cosine")
 
 
-@pytest.mark.parametrize("labels,message", [
-    ([0, 0, 1], "labels length does not match matrix size"),
-    ([0, 0, 0, 0], "need at least 2 clusters"),
-], ids=["length", "one-cluster"])
-def test_silhouette_label_checks_are_input_errors(line, labels, message):
+@pytest.mark.parametrize("matrix,labels,message", [
+    (None, [0, 0, 1], "labels length does not match matrix size"),
+    (None, [0, 0, 0, 0], "need at least 2 clusters"),
+    (np.zeros((0, 0)), [], "need at least 2 clusters"),
+    (None, [[0], [0], [1], [1]], "labels must be a flat list"),
+], ids=["length", "one-cluster", "empty", "nested"])
+def test_silhouette_label_checks_are_input_errors(line, matrix, labels, message):
     with pytest.raises(InputError, match=message):
-        silhouette(line, labels)
+        silhouette(line if matrix is None else matrix, labels)
 
 
 def test_plot_data_length_check_is_an_input_error():

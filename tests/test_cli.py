@@ -357,6 +357,50 @@ class TestRestartWorkers:
         assert capsys.readouterr() == ("", "")
         assert_no_child_left()
 
+    @pytest.mark.parametrize("fail", [False, True], ids=["success", "decode-error"])
+    def test_only_a_running_worker_is_signalled(self, points, monkeypatch, capsys, fail):
+        """Every child passes the one cleanup site: a reaped child, whose pid
+        may belong to another process by then, is never signalled."""
+        parent, real_run, real_fork, real_kill = os.getpid(), cli._run_once, os.fork, os.kill
+        real_loads, forks, kills = cli.pickle.loads, [], []
+
+        def hanging(matrix, args, seed):
+            if fail and seed == 2 and os.getpid() != parent:
+                time.sleep(60)
+            return real_run(matrix, args, seed)
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        def kill(pid, sig):
+            kills.append((pid, sig))
+            real_kill(pid, sig)
+
+        def loads(data):
+            if fail and os.getpid() == parent:
+                raise MemoryError("decoding a share")
+            return real_loads(data)
+
+        monkeypatch.setattr(cli, "_run_once", hanging)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "kill", kill)
+        monkeypatch.setattr(cli.pickle, "loads", loads)
+        use_cpus(monkeypatch, 3)
+        started = time.perf_counter()
+        rc, out, err = self.run(["cluster", "--input", points, "--k", "6",
+                                 "--restarts", "4"], capsys)
+        assert time.perf_counter() - started < 30
+        assert len(forks) == 2
+        if fail:  # child 1 sent its share and is reaped; child 2 still sleeps
+            assert (rc, out, err) == (2, "", "msclust: out of memory: decoding a share\n")
+            assert kills == [(forks[1], 9)]
+        else:
+            assert rc == 0 and len(json.loads(out)["medoids"]) == 6
+            assert kills == []
+
     @pytest.mark.parametrize("argv,cpus", [
         (["--restarts", "1"], 3),
         (["--init", "build"], 3),   # one run without --shuffle

@@ -128,6 +128,9 @@ class TestDynmsc:
             dynmsc(mat, k_max=10, seed=0)
         with pytest.raises(MedoidError):
             dynmsc(mat, k_max=4, k_min=5, seed=0)
+        for n in (0, 1):  # default_k_max is below k_min
+            with pytest.raises(MedoidError, match="need 2 <= k_min <= k_max < n"):
+                dynmsc(np.zeros((n, n)))
 
     def test_fewer_swaps_than_independent_runs(self):
         mat = blob_matrix(seed=1)
