@@ -85,57 +85,54 @@ def _require_at_least(least: float, **values: float) -> None:
 
 
 def _run_once(matrix: np.ndarray, args, seed: int):
+    """One restart, reported in the input's point order as a fresh recompute
+    from its medoids: the same result every optimizer returns itself."""
     n = len(matrix)
+    perm, work = np.arange(n), matrix
     if args.shuffle:
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(n)
+        perm = np.random.default_rng(seed).permutation(n)
         work = matrix[np.ix_(perm, perm)]
-    else:
-        perm = None
-        work = matrix
 
     if args.init == "build":
         m0 = init_build(work, args.k)
     else:
         m0 = init_random(n, args.k, seed)
-    result = ALGORITHMS[args.algorithm](work, m0, max_iter=args.max_iter)
+    found = ALGORITHMS[args.algorithm](work, m0, max_iter=args.max_iter)
 
-    if perm is not None:
-        # map back and re-sum in the input's point order, like a fresh recompute
-        medoids, asw = perm[result.medoids], result.asw
-        result = medoid_result(nearest_three_all(matrix, medoids), medoids,
-                               result.swaps, result.iterations, result.converged)
-        if asw is not None:
-            result.asw = silhouette(matrix, result.labels).mean
+    medoids = perm[found.medoids]
+    result = medoid_result(nearest_three_all(matrix, medoids), medoids,
+                           found.swaps, found.iterations, found.converged)
+    if found.asw is not None:
+        result.asw = silhouette(matrix, result.labels).mean
     return result
 
 
 def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
     """The results of restarts 0 .. restarts-1, in restart order.
 
-    Restart r runs in worker r % workers (see _worker_count): worker 0 is
-    this process, the others are children made with os.fork. A share whose
-    child sends no result runs here instead. The lowest failing restart's
-    error is raised, as it would be one restart after another. The finally
-    kills and reaps every child not reaped yet, also on an error or interrupt."""
+    Restart r is in the share of worker r % workers (see _worker_count):
+    worker 0 is this process, the others are children made with os.fork.
+    A share with no child, or whose child sent nothing, runs here when the
+    outcomes are collected. The lowest failing restart's error is raised.
+    The finally kills and reaps every child not reaped yet, also on an
+    error or interrupt."""
     workers = _worker_count(matrix, args, restarts)
     shares = [range(w, restarts, workers) for w in range(workers)]
-    children = []  # _fork_share's (pid, read end) or None, for workers 1 ..
+    children = [None]  # per worker: _fork_share's (pid, read end), or None
     try:
         for share in shares[1:]:
             children.append(_fork_share(matrix, args, share))
-        outcomes = [_run_share(matrix, args, shares[0])]
-        outcomes += [_receive(*child) if child else None for child in children]
+        outcomes = []
+        for child, share in zip(children, shares):
+            received = _receive(*child) if child else None
+            outcomes.append(received or _run_share(matrix, args, share))
     finally:
         for pid, reader in filter(None, children):
             reader.close()
             _kill(pid)
     results = []
     for r in range(restarts):
-        w = r % workers
-        if outcomes[w] is None:  # no child, or it died before it sent its share
-            outcomes[w] = _run_share(matrix, args, shares[w])
-        ok, value = outcomes[w][r // workers]
+        ok, value = outcomes[r % workers][r // workers]
         if not ok:
             raise value
         results.append(value)

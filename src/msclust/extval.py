@@ -22,8 +22,11 @@ def contingency_table(labels_a, labels_b) -> np.ndarray:
         raise InputError(f"label lengths differ: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise InputError("need at least 2 samples")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
+    try:
+        _, ai = np.unique(a, return_inverse=True)
+        _, bi = np.unique(b, return_inverse=True)
+    except TypeError:  # values numpy cannot sort, such as None beside ints
+        raise InputError("labels must be mutually comparable") from None
     r = ai.max() + 1
     c = bi.max() + 1
     return np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)

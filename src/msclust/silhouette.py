@@ -95,6 +95,8 @@ def silhouette_plot_data(report: SilhouetteReport, labels) -> list[tuple[int, in
     """Rows (label, point index, width), grouped by label ascending and
     sorted by descending width within each group; ready for plotting."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise InputError("labels must be a flat list")
     if len(labels) != len(report.per_point):
         raise InputError("labels and report lengths differ")
     widths = report.per_point

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import msclust
-from msclust import (InputError, MatrixError, MedoidError, ams, build_matrix, dynmsc,
+from msclust import (InputError, MatrixError, MedoidError, ams, ari, build_matrix, dynmsc,
                      fastermsc, fastmsc, init_build, init_random, medoid_silhouette,
-                     nearest_three_all, pammedsil, pamsil, silhouette)
+                     nearest_three_all, nmi, pammedsil, pamsil, silhouette)
 from msclust.core import check_matrix
 from msclust.extval import contingency_table
 from msclust.silhouette import SilhouetteReport, silhouette_plot_data
@@ -117,17 +117,23 @@ def test_silhouette_label_checks_are_input_errors(line, matrix, labels, message)
 
 def test_plot_data_length_check_is_an_input_error():
     report = SilhouetteReport(np.zeros(4), 0.0)
-    with pytest.raises(InputError, match="labels and report lengths differ"):
-        silhouette_plot_data(report, [0, 0, 1])
+    for labels, message in [([0, 0, 1], "labels and report lengths differ"),
+                            ([[0], [0], [1], [1]], "labels must be a flat list"),  # nested
+                            (0, "labels must be a flat list")]:  # scalar
+        with pytest.raises(InputError, match=message):
+            silhouette_plot_data(report, labels)
 
 
 @pytest.mark.parametrize("a,b,message", [
     ([0, 0, 1], ["x", "y"], "label lengths differ: 3 vs 2"),
     ([0], ["x"], "need at least 2 samples"),
-], ids=["length", "one-sample"])
+    ([None, 1], [0, 1], "labels must be mutually comparable"),
+    ([0, 1], [{}, {}], "labels must be mutually comparable"),
+], ids=["length", "one-sample", "unsortable-a", "unsortable-b"])
 def test_label_checks_are_input_errors(a, b, message):
-    with pytest.raises(InputError, match=message):
-        contingency_table(a, b)
+    for measure in (contingency_table, ari, nmi):
+        with pytest.raises(InputError, match=message):
+            measure(a, b)
 
 
 @pytest.mark.parametrize("medoids,message", [

@@ -338,6 +338,27 @@ class TestRestartWorkers:
         use_cpus(monkeypatch, 3)
         assert self.run(argv, capsys) == sequential
 
+    def test_a_lost_share_runs_here_before_an_earlier_failure_is_raised(
+            self, points, monkeypatch, capsys):
+        """Restart 0 fails in this process and every child dies before it
+        sends: the lost shares run here, and restart 0's error is reported."""
+        parent, real, ran = os.getpid(), cli._run_once, []
+
+        def failing(matrix, args, seed):
+            if os.getpid() != parent:
+                os._exit(0)  # before the child sends anything
+            ran.append(seed)
+            if seed == 0:
+                raise MedoidError("restart 0 failed")
+            return real(matrix, args, seed)
+
+        monkeypatch.setattr(cli, "_run_once", failing)
+        use_cpus(monkeypatch, 3)
+        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5"]
+        assert self.run(argv, capsys) == (
+            1, "", "msclust: invalid configuration: restart 0 failed\n")
+        assert ran == [0, 1, 4, 2]
+
     def test_an_interrupt_kills_the_workers(self, points, monkeypatch, capsys):
         parent, real = os.getpid(), cli._run_once
 
