@@ -78,6 +78,20 @@ def real_array(values, error: type[ValueError], what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def label_codes(labels) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(labels, return_inverse=True) of a flat labeling. Raises InputError
+    for nested, ragged or scalar labels and for labels numpy cannot sort."""
+    try:
+        a = np.asarray(labels)
+        if a.ndim == 1:  # return_inverse keeps numpy 2 from importing numpy.ma
+            return np.unique(a, return_inverse=True)
+    except ValueError:  # a ragged nested list
+        pass
+    except TypeError:
+        raise InputError("labels must be mutually comparable") from None
+    raise InputError("labels must be a flat list")
+
+
 def square_matrix(values) -> np.ndarray:
     """values as a square real_array. Raises MatrixError for a non-real
     dtype or a non-square shape; it reads no value, so it costs nothing on
@@ -148,7 +162,7 @@ def build_matrix(points, metric: str = "euclidean") -> np.ndarray:
     so the result is exactly symmetric with a zero diagonal, and equals
     scipy's ``squareform(pdist(...))`` bit for bit.
     """
-    if metric not in METRICS:
+    if not isinstance(metric, str) or metric not in METRICS:
         raise InputError(f"unknown metric {metric!r}, choose from {METRICS}")
     pts = real_array(points, InputError, "points are not numeric vectors")
     if pts.ndim == 1:
@@ -219,6 +233,8 @@ def init_random(n: int, k: int, seed: int) -> np.ndarray:
     results reproduce across builds.
     """
     check_integers(n=n, k=k, seed=seed)
+    if n > np.iinfo(np.intp).max:  # numpy's sampler takes a C long
+        raise MedoidError(f"n must fit in {np.dtype(np.intp)}, got {n}")
     if not 2 <= k < n:
         raise MedoidError(f"need 2 <= k < n, got k={k}, n={n}")
     if seed < 0:
@@ -296,6 +312,8 @@ def _is_float(token: str) -> bool:
 
 def _parse_csv_rows(path: str) -> list[list[float]]:
     rows: list[list[float]] = []
+    if not (isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")):
+        raise InputError(f"path must be a file name, got {path!r}")  # open takes an int as an fd
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InputError
+from .core import InputError, label_codes
 
 
 def contingency_table(labels_a, labels_b) -> np.ndarray:
     """r x c co-occurrence counts of two equal-length labelings."""
-    a = np.asarray(labels_a).ravel()
-    b = np.asarray(labels_b).ravel()
-    if len(a) != len(b):
-        raise InputError(f"label lengths differ: {len(a)} vs {len(b)}")
-    if len(a) < 2:
+    _, ai = label_codes(labels_a)
+    _, bi = label_codes(labels_b)
+    if len(ai) != len(bi):
+        raise InputError(f"label lengths differ: {len(ai)} vs {len(bi)}")
+    if len(ai) < 2:
         raise InputError("need at least 2 samples")
-    try:
-        _, ai = np.unique(a, return_inverse=True)
-        _, bi = np.unique(b, return_inverse=True)
-    except TypeError:  # values numpy cannot sort, such as None beside ints
-        raise InputError("labels must be mutually comparable") from None
     r = ai.max() + 1
     c = bi.max() + 1
     return np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)

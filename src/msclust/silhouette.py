@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ClusteringResult, InputError, NeighborCache, csv_text, nearest_three_all,
-                   safe_ratio_arr, square_matrix)
+from .core import (ClusteringResult, InputError, NeighborCache, csv_text, label_codes,
+                   nearest_three_all, safe_ratio_arr, square_matrix)
 
 
 @dataclass
@@ -34,13 +34,10 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     distance to another cluster. Points in singleton clusters get s_i = 0.
     """
     matrix = square_matrix(matrix)
-    labels = np.asarray(labels)
+    values, idx = label_codes(labels)
     n = len(matrix)
-    if labels.ndim != 1:
-        raise InputError("labels must be a flat list")
-    if len(labels) != n:
+    if len(idx) != n:
         raise InputError("labels length does not match matrix size")
-    values, idx = np.unique(labels, return_inverse=True)
     ncl = len(values)
     if ncl < 2:
         raise InputError("need at least 2 clusters")
@@ -91,19 +88,17 @@ def medoid_result(cache: NeighborCache, medoids, swaps: int, iterations: int,
                             asw=None, swaps=swaps, iterations=iterations, converged=converged)
 
 
-def silhouette_plot_data(report: SilhouetteReport, labels) -> list[tuple[int, int, float]]:
-    """Rows (label, point index, width), grouped by label ascending and
-    sorted by descending width within each group; ready for plotting."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise InputError("labels must be a flat list")
-    if len(labels) != len(report.per_point):
+def silhouette_plot_data(report: SilhouetteReport, labels) -> list[tuple]:
+    """Rows (label as given, point index, width), grouped by label ascending
+    and sorted by descending width within each group; ready for plotting."""
+    values, codes = label_codes(labels)
+    if len(codes) != len(report.per_point):
         raise InputError("labels and report lengths differ")
     widths = report.per_point
-    order = np.lexsort((np.arange(len(labels)), -widths, labels))
-    return [(int(labels[o]), int(o), float(widths[o])) for o in order]
+    order = np.lexsort((np.arange(len(codes)), -widths, codes))
+    return list(zip(values[codes[order]].tolist(), order.tolist(), widths[order].tolist()))
 
 
-def plot_data_csv(rows: list[tuple[int, int, float]]) -> str:
+def plot_data_csv(rows: list[tuple]) -> str:
     """Serialize plot rows to CSV with header label,point,width."""
     return csv_text("label,point,width", rows)

@@ -102,6 +102,8 @@ def test_one_constructor_builds_every_optimizer_result():
 def test_unknown_metric_is_an_input_error():
     with pytest.raises(InputError, match="unknown metric 'cosine'"):
         build_matrix(LINE_POINTS, metric="cosine")
+    with pytest.raises(InputError, match="unknown metric"):
+        build_matrix(LINE_POINTS, metric=np.array(["a", "b"]))
 
 
 @pytest.mark.parametrize("matrix,labels,message", [
@@ -109,7 +111,10 @@ def test_unknown_metric_is_an_input_error():
     (None, [0, 0, 0, 0], "need at least 2 clusters"),
     (np.zeros((0, 0)), [], "need at least 2 clusters"),
     (None, [[0], [0], [1], [1]], "labels must be a flat list"),
-], ids=["length", "one-cluster", "empty", "nested"])
+    (None, [[0], [0, 1], [1], [1]], "labels must be a flat list"),
+    (None, [None, 0, 1, 1], "labels must be mutually comparable"),
+    (None, "0011", "labels must be a flat list"),
+], ids=["length", "one-cluster", "empty", "nested", "ragged", "unsortable", "string"])
 def test_silhouette_label_checks_are_input_errors(line, matrix, labels, message):
     with pytest.raises(InputError, match=message):
         silhouette(line if matrix is None else matrix, labels)
@@ -119,7 +124,10 @@ def test_plot_data_length_check_is_an_input_error():
     report = SilhouetteReport(np.zeros(4), 0.0)
     for labels, message in [([0, 0, 1], "labels and report lengths differ"),
                             ([[0], [0], [1], [1]], "labels must be a flat list"),  # nested
-                            (0, "labels must be a flat list")]:  # scalar
+                            (0, "labels must be a flat list"),  # scalar
+                            ([[0], [0, 1], [1], [1]], "labels must be a flat list"),  # ragged
+                            ([None, 0, 1, 1], "labels must be mutually comparable"),
+                            ("0011", "labels must be a flat list")]:  # one string
         with pytest.raises(InputError, match=message):
             silhouette_plot_data(report, labels)
 
@@ -129,7 +137,12 @@ def test_plot_data_length_check_is_an_input_error():
     ([0], ["x"], "need at least 2 samples"),
     ([None, 1], [0, 1], "labels must be mutually comparable"),
     ([0, 1], [{}, {}], "labels must be mutually comparable"),
-], ids=["length", "one-sample", "unsortable-a", "unsortable-b"])
+    ([[0], [0, 1]], [0, 1], "labels must be a flat list"),
+    ([0, 1], [[0], [1]], "labels must be a flat list"),
+    ([0, 1], [None, 0], "labels must be mutually comparable"),
+    ("01", [0, 1], "labels must be a flat list"),
+], ids=["length", "one-sample", "unsortable-a", "unsortable-b", "ragged-a", "nested-b",
+        "unsortable-none-first", "string"])
 def test_label_checks_are_input_errors(a, b, message):
     for measure in (contingency_table, ari, nmi):
         with pytest.raises(InputError, match=message):

@@ -828,8 +828,13 @@ def test_a_job_loads_no_numpy_ma_or_multiprocessing(tmp_path):
     path = tmp_path / "blobs.csv"
     write_blobs(path, n=40)
     out = str(tmp_path / "out")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\na\nc\n")
     jobs = [["cluster", "--input", str(path), "--k", "4", "--restarts", "3", "-o", out],
-            ["sweep", "--input", str(path), "--k-max", "6", "-o", out]]
+            ["sweep", "--input", str(path), "--k-max", "6", "-o", out],
+            ["cluster", "--input", str(path), "--k", "4", "--asw",
+             "--plot-data", str(tmp_path / "plot.csv"), "-o", out],
+            ["eval", "--labels-a", str(labels), "--labels-b", str(labels), "-o", out]]
     code = ("import json, os, sys\n"
             "import msclust.cli as cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"

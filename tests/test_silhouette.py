@@ -153,6 +153,8 @@ class TestPlotData:
         rows = silhouette_plot_data(rep, [0, 0, 1, 1])
         assert [lab for lab, _, _ in rows] == [0, 0, 1, 1]
         assert len(rows) == 4
+        rows = silhouette_plot_data(rep, ["b", "b", "a", "a"])
+        assert [(lab, o) for lab, o, _ in rows] == [("a", 2), ("a", 3), ("b", 0), ("b", 1)]
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_tied_widths_keep_label_width_index_order(self, seed):
