@@ -3,7 +3,6 @@
 Verbs:
   cluster  run one algorithm at a fixed k on a matrix or points file
   sweep    descending-k cluster-count selection
-  bench    timing grid over (n, k, algorithm) cells on synthetic data
   eval     ARI/NMI between two label files
 
 cluster deals its restarts across the usable CPUs (restrict them with
@@ -78,9 +77,9 @@ def _load_matrix(args) -> np.ndarray:
     return build_matrix(points, metric=args.metric)
 
 
-def _require_at_least(least: float, **values: float) -> None:
+def _require_at_least(least: int, **values: int) -> None:
     for name, value in values.items():
-        if not value >= least:  # so NaN fails too
+        if value < least:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
 
 
@@ -300,48 +299,6 @@ def cmd_sweep(args) -> str:
     return sweep_to_json(sweep) + "\n"
 
 
-def cmd_bench(args) -> str:
-    _require_at_least(1, repeats=args.repeats, max_iter=args.max_iter)
-    _require_at_least(0, seed=args.seed, timeout=args.timeout)
-    sizes = _parse_int_list(args.sizes, "sizes")
-    ks = _parse_int_list(args.ks, "ks")
-    algos = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}")
-    if not sizes or not ks or not algos:
-        raise ConfigError("sizes, ks, and algorithms must be non-empty")
-    # every cell needs 2 <= k < n; checked before the first cell runs
-    _require_at_least(2, ks=min(ks))
-    _require_at_least(max(ks) + 1, sizes=min(sizes))
-
-    rows = []
-    for n in sizes:
-        rng = np.random.default_rng(args.seed + n)
-        matrix = build_matrix(rng.random((n, 2)))
-        for k in ks:
-            m0 = init_random(n, k, args.seed)
-            for algo in algos:
-                rows.append((algo, n, k, *_time_cell(ALGORITHMS[algo], matrix, m0, args)))
-    return csv_text("algo,n,k,seconds,swaps,iters", rows)
-
-
-def _time_cell(fn, matrix, m0, args):
-    """The cell's seconds, swaps and iters: the median of the timed repeats
-    and the last run's counts, or timeout as soon as the untimed warm-up or
-    any repeat exceeds args.timeout."""
-    times = []
-    for run in range(args.repeats + 1):  # run 0 is the warm-up
-        t0 = time.perf_counter()
-        result = fn(matrix, m0, max_iter=args.max_iter)
-        elapsed = time.perf_counter() - t0
-        if args.timeout and elapsed > args.timeout:
-            return "timeout", "", ""
-        if run:
-            times.append(elapsed)
-    return float(np.median(times)), result.swaps, result.iterations
-
-
 def cmd_eval(args) -> str:
     a = _load_labels(args.labels_a)
     b = _load_labels(args.labels_b)
@@ -351,13 +308,6 @@ def cmd_eval(args) -> str:
 def _load_labels(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8-sig") as fh:
         return [line.strip() for line in fh if line.strip()]
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"{name} must be comma-separated integers") from None
 
 
 def _add_input_args(p: _Parser) -> None:
@@ -397,20 +347,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=None)
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("bench", help="timing grid on synthetic data")
-    p.add_argument("--sizes", required=True, help="comma-separated n values")
-    p.add_argument("--ks", required=True, help="comma-separated k values")
-    p.add_argument("--algorithms", default="pammedsil,fastmsc")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timed repetitions per cell (median reported)")
-    p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-run budget in seconds, warm-up included; "
-                        "exceeded cells are marked timeout and the grid continues")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--output", "-o")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("eval", help="ARI/NMI between two label files")
     p.add_argument("--labels-a", required=True)

@@ -240,7 +240,10 @@ def init_random(n: int, k: int, seed: int) -> np.ndarray:
     if seed < 0:
         raise MedoidError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    return np.asarray(rng.choice(n, size=k, replace=False), dtype=np.intp)
+    try:
+        return np.asarray(rng.choice(n, size=k, replace=False), dtype=np.intp)
+    except ValueError:  # numpy: "array is too big" to size its work array
+        raise MedoidError(f"cannot sample k={k} of n={n} indices") from None
 
 
 def init_build(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -314,7 +317,11 @@ def _parse_csv_rows(path: str) -> list[list[float]]:
     rows: list[list[float]] = []
     if not (isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")):
         raise InputError(f"path must be a file name, got {path!r}")  # open takes an int as an fd
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8-sig")
+    except ValueError as exc:  # a NUL in the path, or a str that has no bytes form
+        raise InputError(f"path cannot name a file: {exc}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -271,11 +271,12 @@ def test_non_numeric_points_are_an_input_error():
      "medoid indices must be integers"),
     (lambda m: fastmsc(m, np.array([0, 3, 7], dtype=object)), "medoid indices must be integers"),
     (lambda m: ams(m, [[0], [3, 7]]), "medoid indices must be integers"),
+    (lambda m: init_random(2**62, 2**61, 0), f"cannot sample k={2**61} of n={2**62} indices"),
 ], ids=["init_random-seed", "dynmsc-seed", "init_random-k", "init_random-float-seed",
         "init_build-k", "dynmsc-k_max", "dynmsc-k_min", "fastmsc-half", "fastermsc-nan",
         "ams-string", "init_random-bool-seed", "fastmsc-bool-list", "fastmsc-bool-array",
         "fastmsc-numeric-strings", "ams-padded-string", "ams-complex", "fastmsc-datetime64",
-        "fastmsc-object", "ams-ragged"])
+        "fastmsc-object", "ams-ragged", "init_random-unsamplable"])
 def test_integer_arguments_are_checked(call, message):
     with pytest.raises(MedoidError, match=message):
         call(build_matrix(POINTS_30))

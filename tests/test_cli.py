@@ -561,59 +561,6 @@ class TestSweep:
         assert len(lines) == 3
 
 
-class TestBench:
-    def test_grid_rows(self, capsys):
-        rc = main(["bench", "--sizes", "30,40", "--ks", "2,3",
-                   "--algorithms", "fastmsc,fastermsc", "--repeats", "1"])
-        assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "algo,n,k,seconds,swaps,iters"
-        assert len(lines) == 1 + 2 * 2 * 2
-
-    def test_timeout_bounds_the_warmup(self, monkeypatch, capsys):
-        import msclust.cli as cli
-
-        calls = []
-
-        def slow(matrix, medoids, max_iter):
-            calls.append(1)
-            time.sleep(0.01)
-            return cli.ALGORITHMS["fastmsc"](matrix, medoids, max_iter=max_iter)
-
-        monkeypatch.setitem(cli.ALGORITHMS, "slow", slow)
-        rc = main(["bench", "--sizes", "30", "--ks", "2", "--algorithms", "slow",
-                   "--repeats", "3", "--timeout", "0.001"])
-        assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[1] == "slow,30,2,timeout,,"
-        assert len(calls) == 1  # the warm-up ran, no timed repeat did
-
-    @pytest.mark.parametrize("sizes,ks", [("50,5", "10"), ("30", "1")])
-    def test_bad_k_fails_before_any_cell(self, monkeypatch, capsys, sizes, ks):
-        import msclust.cli as cli
-
-        calls = []
-
-        def counting(matrix, medoids, max_iter):
-            calls.append(1)
-            return cli.ALGORITHMS["fastmsc"](matrix, medoids, max_iter=max_iter)
-
-        monkeypatch.setitem(cli.ALGORITHMS, "counting", counting)
-        rc = main(["bench", "--sizes", sizes, "--ks", ks, "--algorithms", "counting",
-                   "--repeats", "1"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("msclust: invalid configuration: --")
-        assert captured.err.count("\n") == 1
-        assert calls == []
-
-    def test_unknown_algorithm(self, capsys):
-        rc = main(["bench", "--sizes", "30", "--ks", "2",
-                   "--algorithms", "nosuch"])
-        assert rc == 1
-
-
 class TestEval:
     def test_ari_nmi(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
@@ -640,9 +587,11 @@ class TestEval:
 
 class TestExitCodes:
     def test_bad_config_unknown_flag(self, line_csv):
-        with pytest.raises(SystemExit) as exc:
-            main(["cluster", "--input", line_csv, "--k", "2", "--nope"])
-        assert exc.value.code == 1
+        for argv in (["cluster", "--input", line_csv, "--k", "2", "--nope"],
+                     ["bench", "--sizes", "30", "--ks", "2"]):  # a removed verb
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
 
     def test_bad_config_k_out_of_range(self, line_csv, capsys):
         rc = main(["cluster", "--input", line_csv, "--k", "9"])
@@ -697,15 +646,15 @@ class TestExitCodes:
         assert err.startswith(f"msclust: bad input: a {metric} distance overflows float64 (")
         assert err.count("\n") == 1
 
-    def test_out_of_memory(self, monkeypatch, capsys):
+    def test_out_of_memory(self, monkeypatch, capsys, line_csv):
         message = ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000) "
                    "and data type float64")
 
-        def no_memory(points):
+        def no_memory(points, metric):
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, "build_matrix", no_memory)
-        rc = main(["bench", "--sizes", "20000", "--ks", "5", "--repeats", "1"])
+        rc = main(["cluster", "--input", line_csv, "--k", "2"])
         assert rc == 2
         assert capsys.readouterr().err == f"msclust: out of memory: {message}\n"
 
@@ -745,31 +694,6 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid configuration" in err and flag in err
-
-    @pytest.mark.parametrize("extra,flag", [
-        (["--repeats", "0"], "--repeats"),
-        (["--max-iter", "0"], "--max-iter"),
-        (["--timeout", "-1"], "--timeout"),
-        (["--sizes", "-1"], "--sizes"),
-        (["--sizes", "0"], "--sizes"),
-        (["--sizes", "30,2"], "--sizes"),
-        (["--seed", "-9"], "--seed"),
-        (["--timeout", "nan"], "--timeout"),
-    ])
-    def test_bad_bench_budget_or_count(self, capsys, extra, flag):
-        rc = main(["bench", "--sizes", "30", "--ks", "2"] + extra)
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "invalid configuration" in err and flag in err
-
-    @pytest.mark.parametrize("extra,message", [
-        (["--sizes", "5,x"], "sizes must be comma-separated integers"),
-        (["--algorithms", ","], "sizes, ks, and algorithms must be non-empty"),
-    ], ids=["sizes", "algorithms"])
-    def test_bad_bench_lists(self, capsys, extra, message):
-        rc = main(["bench", "--sizes", "30", "--ks", "2"] + extra)
-        assert rc == 1
-        assert capsys.readouterr().err == f"msclust: invalid configuration: {message}\n"
 
     @pytest.mark.parametrize("a,b,message", [
         (b"0\n0\n1\n", b"x\ny\n", "label lengths differ: 3 vs 2"),

@@ -58,6 +58,7 @@ MALFORMED = [
     [[0], [0, 1]],  # ragged
     [None, 0, 1],  # unsortable
     [], ["a", "b", "c"], np.array(["a", "b"]), object(),
+    "a\0b", b"a\0b",  # open rejects a NUL in a path
 ]
 
 

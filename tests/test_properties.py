@@ -151,11 +151,10 @@ def test_cli_counts_never_traceback(points_csv, data):
     """Every flag is drawn from its valid range except at most one, which
     is drawn just outside it, so each range check is reached: the call
     exits 0 with every flag in range and 1 with one out of range."""
-    verb = data.draw(st.sampled_from(["cluster", "sweep", "bench"]))
-    flags = {"cluster": ["--k", "--restarts"], "sweep": ["--k-min", "--k-max"],
-             "bench": ["--ks", "--sizes", "--repeats", "--timeout"]}[verb]
+    verb = data.draw(st.sampled_from(["cluster", "sweep"]))
+    flags = {"cluster": ["--k", "--restarts"], "sweep": ["--k-min", "--k-max"]}[verb]
     bad = data.draw(st.sampled_from([None, "--max-iter", "--seed", *flags]))
-    argv = [verb] if verb == "bench" else [verb, "--input", points_csv]
+    argv = [verb, "--input", points_csv]
 
     def pick(flag, low, high=None, cap=None):
         """Draw flag's value from [low, high] (or [low, cap] if it has no
@@ -167,33 +166,16 @@ def test_cli_counts_never_traceback(points_csv, data):
         argv.extend([flag, str(value)])
         return value
 
-    def pick_list(flag, low, high):
-        values = data.draw(st.lists(st.integers(low, high), min_size=1, max_size=2))
-        if flag == bad:
-            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(out_of_range(low))
-        argv.extend([flag, ",".join(map(str, values))])
-        return values
-
     top = N_POINTS - 1  # the largest k, and sweep's default --k-max
     if verb == "cluster":
         pick("--k", 2, top)
         pick("--restarts", 1, cap=3)
-    elif verb == "sweep":
-        if bad == "--k-min":
-            pick("--k-min", 2, pick("--k-max", 2, top) if data.draw(st.booleans()) else top)
-        else:
-            k_min = pick("--k-min", 2, top)
-            if bad == "--k-max" or data.draw(st.booleans()):
-                pick("--k-max", k_min, top)
+    elif bad == "--k-min":
+        pick("--k-min", 2, pick("--k-max", 2, top) if data.draw(st.booleans()) else top)
     else:
-        ks = pick_list("--ks", 2, 5)
-        pick_list("--sizes", max(ks) + 1, max(ks) + 4)
-        pick("--repeats", 1, cap=2)
-        if bad == "--timeout":
-            timeout = data.draw(st.sampled_from(["nan", "-1", "-0.5"]))
-        else:
-            timeout = repr(data.draw(st.floats(0, 14)))
-        argv += ["--timeout", timeout]
+        k_min = pick("--k-min", 2, top)
+        if bad == "--k-max" or data.draw(st.booleans()):
+            pick("--k-max", k_min, top)
     pick("--max-iter", 1, cap=14)
     pick("--seed", 0, cap=2**16)
     assert run_cli(argv) == (0 if bad is None else 1)
