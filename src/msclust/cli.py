@@ -8,7 +8,8 @@ Verbs:
 cluster deals its restarts across the usable CPUs (restrict them with
 taskset) and reports the best; among equal qualities the earliest
 restart wins, so the output is the same as on one CPU. BUILD without
---shuffle is deterministic, so it runs once. Each verb returns its
+--shuffle is deterministic, so it runs once. fastmsc scores each large
+steepest pass on the CPUs its restart leaves idle. Each verb returns its
 output text; main alone writes it to --output or stdout and maps errors
 to exit codes.
 
@@ -22,7 +23,7 @@ import argparse
 import ctypes
 import json
 import os
-import pickle
+import pickle  # noqa: F401 -- cli.pickle, where the restart tests patch how a share is decoded
 import sys
 import time
 
@@ -46,6 +47,7 @@ from .core import (
 from .extval import ari, nmi
 from .fastmsc import fastermsc, fastmsc
 from .naive import pammedsil, pamsil
+from .pool import run_shares, usable_cpus
 from .silhouette import (medoid_result, medoid_silhouette, plot_data_csv, silhouette,
                          silhouette_plot_data)
 
@@ -96,7 +98,8 @@ def _run_once(matrix: np.ndarray, args, seed: int):
         m0 = init_build(work, args.k)
     else:
         m0 = init_random(n, args.k, seed)
-    found = ALGORITHMS[args.algorithm](work, m0, max_iter=args.max_iter)
+    split = {"workers": args.scan_workers} if args.algorithm == "fastmsc" else {}
+    found = ALGORITHMS[args.algorithm](work, m0, max_iter=args.max_iter, **split)
 
     medoids = perm[found.medoids]
     result = medoid_result(nearest_three_all(matrix, medoids), medoids,
@@ -109,26 +112,20 @@ def _run_once(matrix: np.ndarray, args, seed: int):
 def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
     """The results of restarts 0 .. restarts-1, in restart order.
 
-    Restart r is in the share of worker r % workers (see _worker_count):
-    worker 0 is this process, the others are children made with os.fork.
-    A share with no child, or whose child sent nothing, runs here when the
-    outcomes are collected. The lowest failing restart's error is raised.
-    The finally kills and reaps every child not reaped yet, also on an
-    error or interrupt."""
-    workers = _worker_count(matrix, args, restarts)
-    shares = [range(w, restarts, workers) for w in range(workers)]
-    children = [None]  # per worker: _fork_share's (pid, read end), or None
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(matrix, args, share))
-        outcomes = []
-        for child, share in zip(children, shares):
-            received = _receive(*child) if child else None
-            outcomes.append(received or _run_share(matrix, args, share))
-    finally:
-        for pid, reader in filter(None, children):
-            reader.close()
-            _kill(pid)
+    Restart r is in share r % workers, which pool.run_shares runs here for
+    share 0 and in a forked child for the others. A worker per usable CPU
+    (pool.usable_cpus), up to one per restart; with --shuffle each holds
+    its own shuffled copy of the matrix, so only as many as free memory
+    holds. Each fastmsc scan pass splits over the CPUs left over
+    (args.scan_workers). The lowest failing restart's error is raised."""
+    cpus = usable_cpus()
+    workers = min(cpus, restarts)
+    if args.shuffle and workers > 1:
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        workers = max(1, min(workers, free // max(matrix.nbytes, 1)))
+    args.scan_workers = cpus // workers
+    outcomes = run_shares(lambda share: _run_share(matrix, args, share),
+                          [range(w, restarts, workers) for w in range(workers)])
     results = []
     for r in range(restarts):
         ok, value = outcomes[r % workers][r // workers]
@@ -136,19 +133,6 @@ def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
             raise value
         results.append(value)
     return results
-
-
-def _worker_count(matrix: np.ndarray, args, restarts: int) -> int:
-    """One worker per usable CPU, up to the number of restarts. With
-    --shuffle each worker holds its own shuffled copy of the matrix, so
-    only as many as there is free memory for. Without os.sched_getaffinity
-    (macOS, Windows) there is one. CPU quotas of a cgroup are not seen."""
-    cpus = getattr(os, "sched_getaffinity", None)
-    workers = min(len(cpus(0)), restarts) if cpus else 1
-    if args.shuffle and workers > 1:
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        workers = max(1, min(workers, free // max(matrix.nbytes, 1)))
-    return workers
 
 
 def _run_share(matrix, args, share: range) -> list:
@@ -162,68 +146,6 @@ def _run_share(matrix, args, share: range) -> list:
             outcomes.append((False, exc))
             break
     return outcomes
-
-
-def _fork_share(matrix, args, share: range):
-    """(pid, read end) of a child that pickles _run_share's outcomes into a
-    pipe, or None if no pipe or child can be made. The child writes nothing
-    else and ends in os._exit: it never returns into main nor runs an
-    atexit handler."""
-    parent, fds = os.getpid(), ()
-    try:
-        fds = read_fd, write_fd = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            _die_with(parent)
-            os.close(read_fd)
-            data = pickle.dumps(_run_share(matrix, args, share))
-            with open(write_fd, "wb") as fh:
-                fh.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _die_with(parent: int) -> None:
-    """Have Linux SIGKILL this child when its parent dies, by a signal
-    too, and exit now if the parent died before that was set."""
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, OSError, TypeError):  # not Linux: no prctl
-        return
-    prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _receive(pid: int, reader):
-    """The outcomes a child sent, or None if it exited without sending
-    them all. The child is reaped; _run_restarts closes the reader."""
-    data = reader.read()
-    status = os.waitpid(pid, 0)[1]
-    if data and os.waitstatus_to_exitcode(status) == 0:
-        return pickle.loads(data)
-    return None
-
-
-def _kill(pid: int) -> None:
-    """Kill and reap a child that is not reaped yet. A pid that is reaped
-    already may belong to another process by now: it is left alone."""
-    try:
-        if os.waitpid(pid, os.WNOHANG)[0]:  # it had exited: now reaped
-            return
-        os.kill(pid, 9)  # SIGKILL
-        os.waitpid(pid, 0)
-    except ChildProcessError:  # reaped already
-        pass
 
 
 def cmd_cluster(args) -> str:

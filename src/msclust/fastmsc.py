@@ -22,6 +22,9 @@ The key pieces:
   a block frees would go back to the system and be faulted in again by
   the next block; ``cli.main`` raises both thresholds at start.
 * ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax.
+  With ``workers`` > 1 a pass from 2 * ``SHARE_DISTANCES`` distances (n
+  near 1,450; a fork and its pickle cost 4-5 ms) is split by
+  ``pool.run_shares`` and joined in candidate order, so every swap is the same.
 * ``_swap_if_sum_rises``: a scored swap is kept and counted only if the
   fresh ``ams_sum`` rises by more than ``EPS_GAIN`` (pammedsil's rule),
   else it is swapped back. The scan totals round differently, and from n
@@ -63,7 +66,10 @@ from .core import (
     safe_ratio_arr,
     top3,
 )
+from .pool import run_shares
 from .silhouette import medoid_result
+
+SHARE_DISTANCES = 2**20
 
 
 @dataclass(frozen=True)
@@ -189,20 +195,23 @@ def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, n
     return pos, acc[np.arange(len(J)), pos] + shared
 
 
-def find_best_swap(state: OptimizerState) -> SwapCandidate | None:
+def find_best_swap(state: OptimizerState, workers: int = 1) -> SwapCandidate | None:
     """Best strictly-improving swap over all non-medoid candidates, or
     None when no candidate gains more than the improvement epsilon.
 
     For each candidate the best medoid position is the argmax of the
     per-medoid accumulators (the shared addition gain is constant across
     positions); ties break toward the lower position, and the earliest
-    candidate wins among equal totals.
+    candidate wins among equal totals. A candidate's total does not depend
+    on its block, so min(workers, (n-k) n // SHARE_DISTANCES) shares agree.
     """
     candidates = (~state.is_medoid).nonzero()[0]
     width = block_rows(len(state.matrix))
-    blocks = [_best_positions(state, candidates[start:start + width])
-              for start in range(0, len(candidates), width)]
-    pos, totals = (np.concatenate(parts) for parts in zip(*blocks))
+    count = max(1, min(workers, candidates.size * len(state.matrix) // SHARE_DISTANCES))
+    parts = run_shares(lambda share: [_best_positions(state, share[s:s + width])
+                                      for s in range(0, len(share), width)],
+                       np.array_split(candidates, count))
+    pos, totals = (np.concatenate(col) for col in zip(*(b for part in parts for b in part)))
     b = int(np.argmax(totals))
     if totals[b] <= EPS_GAIN:
         return None
@@ -253,21 +262,22 @@ def _result(state: OptimizerState, converged: bool) -> ClusteringResult:
     return medoid_result(state.cache, state.medoids, state.swaps, state.iterations, converged)
 
 
-def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER) -> ClusteringResult:
+def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER,
+            workers: int = 1) -> ClusteringResult:
     """Steepest-descent AMS optimization with incremental swap gains.
 
     Applies find_best_swap's swap until no strictly-improving swap
     remains, or until that swap does not raise the fresh sum. From the
     same starting medoids it returns the identical medoid set and AMS as
-    pammedsil.
+    pammedsil, also when workers > 1 processes score a large pass.
     """
-    check_integers(max_iter=max_iter)
+    check_integers(max_iter=max_iter, workers=workers)
     state = make_state(check_matrix(matrix), medoids)
     current = state.ams_sum
     converged = False
     for _ in range(max_iter):
         state.iterations += 1
-        cand = find_best_swap(state)
+        cand = find_best_swap(state, workers)
         if cand is not None:
             current = _swap_if_sum_rises(state, cand.medoid_position,
                                          cand.replacement, current)

@@ -1,8 +1,11 @@
-"""Shared test data generators."""
+"""Shared test data generators, and the seams of the forked workers."""
+
+import os
 
 import numpy as np
+import pytest
 
-from msclust import build_matrix
+from msclust import build_matrix, pool
 
 LINE_POINTS = [[0.0], [1.0], [10.0], [11.0]]
 
@@ -41,3 +44,15 @@ def blob_matrix(seed: int, n: int = 400) -> np.ndarray:
     centers = np.array([[0, 0], [20, 0], [0, 20], [20, 20]], dtype=float)
     pts = np.vstack([c + rng.normal(0.0, 1.0, (n // 4, 2)) for c in centers])
     return build_matrix(pts)
+
+
+def use_cpus(monkeypatch, count):
+    """The test seam for the usable CPUs: an affinity mask of count CPUs
+    and no cgroup CPU quota, whatever the host's are."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(pool, "OWN_CGROUP", os.devnull)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

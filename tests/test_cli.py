@@ -13,11 +13,11 @@ import pytest
 
 import msclust
 from msclust import ams, build_matrix, dynmsc, fastermsc, init_random, silhouette
-from msclust import cli
+from msclust import cli, pool
 from msclust.cli import main
 from msclust.core import MedoidError, load_points_csv
 
-from helpers import LINE_POINTS, OVERFLOW_IDS, OVERFLOWS
+from helpers import LINE_POINTS, OVERFLOW_IDS, OVERFLOWS, assert_no_child_left, use_cpus
 
 
 def write_points(path, points):
@@ -169,10 +169,10 @@ class TestCluster:
         seen = tmp_path / "calls"  # a file, so that calls made in a worker count too
         real = cli.ALGORITHMS["fastmsc"]
 
-        def counting(matrix, medoids, max_iter):
+        def counting(matrix, medoids, max_iter, workers):
             with open(seen, "a", encoding="utf-8") as fh:
                 fh.write("call\n")
-            return real(matrix, medoids, max_iter=max_iter)
+            return real(matrix, medoids, max_iter=max_iter, workers=workers)
 
         monkeypatch.setitem(cli.ALGORITHMS, "fastmsc", counting)
         rc = main(["cluster", "--input", line_csv, "--k", "2", "--algorithm", "fastmsc",
@@ -235,11 +235,6 @@ class TestCluster:
         assert len(set(payload["labels"])) == 2
 
 
-def use_cpus(monkeypatch, count):
-    """The test seam for the usable CPUs cluster deals its restarts across."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def running(pid):
     """Whether pid is a process that has not exited (Linux /proc)."""
     try:
@@ -247,11 +242,6 @@ def running(pid):
             return fh.read().rpartition(")")[2].split()[0] not in "ZX"
     except FileNotFoundError:
         return False
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRestartWorkers:
@@ -463,6 +453,42 @@ class TestRestartWorkers:
         use_cpus(monkeypatch, 3)
         assert self.run(argv, capsys) == sequential
         assert len(forks) == copies - 1
+
+    @pytest.mark.parametrize("files,cpus", [
+        ({"cpu.max": "max 100000\n"}, 3),  # v2: no limit
+        ({"cpu.max": "150000 100000\n"}, 2),  # v2: ceil(1.5)
+        ({"cpu.cfs_quota_us": "-1\n", "cpu.cfs_period_us": "100000\n"}, 3),  # v1: no limit
+        ({"cpu.cfs_quota_us": "50000\n", "cpu.cfs_period_us": "100000\n"}, 1),  # v1: ceil(0.5)
+    ], ids=["v2-max", "v2-quota", "v1-unlimited", "v1-quota"])
+    def test_workers_fit_in_the_cgroup_cpu_quota(self, points, monkeypatch, capsys, tmp_path,
+                                                 files, cpus):
+        """A CPU quota on this process's own cgroup caps the workers of a
+        3-CPU affinity mask at ceil(quota / period)."""
+        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5"]
+        use_cpus(monkeypatch, 1)
+        sequential = self.run(argv, capsys)
+        controllers = "" if "cpu.max" in files else "cpu,cpuacct"
+        own = tmp_path / "cgroup"  # the other hierarchies hold no CPU quota files
+        own.write_text(f"5:memory:/job\n4:{controllers}:/job\n0::/\n" if controllers
+                       else "0::/job\n")
+        where = tmp_path / "fs" / controllers / "job"
+        where.mkdir(parents=True)
+        for name, text in files.items():
+            (where / name).write_text(text)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(pool, "OWN_CGROUP", str(own))
+        monkeypatch.setattr(pool, "CGROUP_ROOT", str(tmp_path / "fs"))
+        assert self.run(argv, capsys) == sequential
+        assert len(forks) == cpus - 1
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="only Linux kills the children of a killed process")

@@ -35,7 +35,7 @@ CALLS = {
     "build_matrix": (msclust.build_matrix, dict(points=POINTS, metric="euclidean")),
     "dynmsc": (msclust.dynmsc, dict(matrix=MATRIX, k_max=3, k_min=2, seed=0, max_iter=3)),
     "fastermsc": (msclust.fastermsc, OPTIMIZER),
-    "fastmsc": (msclust.fastmsc, OPTIMIZER),
+    "fastmsc": (msclust.fastmsc, dict(OPTIMIZER, workers=2)),
     "init_build": (msclust.init_build, dict(matrix=MATRIX, k=2)),
     "init_random": (msclust.init_random, dict(n=6, k=2, seed=0)),
     "medoid_silhouette": (msclust.medoid_silhouette, dict(matrix=MATRIX, medoids=MEDOIDS)),
