@@ -5,9 +5,10 @@ Verbs:
   sweep    descending-k cluster-count selection
   eval     ARI/NMI between two label files
 
-cluster deals its restarts across the usable CPUs (restrict them with
-taskset) and reports the best; among equal qualities the earliest
-restart wins, so the output is the same as on one CPU. BUILD without
+cluster deals its restarts in consecutive shares across the usable CPUs
+(restrict them with taskset) and reports the best; among equal
+qualities the earliest restart wins, so the output is the same as on
+one CPU, and an error is the lowest failing restart's. BUILD without
 --shuffle is deterministic, so it runs once. fastmsc scores each large
 steepest pass on the CPUs its restart leaves idle. Each verb returns its
 output text; main alone writes it to --output or stdout and maps errors
@@ -22,8 +23,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import os
-import pickle  # noqa: F401 -- cli.pickle, where the restart tests patch how a share is decoded
 import sys
 import time
 
@@ -47,7 +46,7 @@ from .core import (
 from .extval import ari, nmi
 from .fastmsc import fastermsc, fastmsc
 from .naive import pammedsil, pamsil
-from .pool import run_shares, usable_cpus
+from .pool import free_memory, run_shares, usable_cpus
 from .silhouette import (medoid_result, medoid_silhouette, plot_data_csv, silhouette,
                          silhouette_plot_data)
 
@@ -112,40 +111,20 @@ def _run_once(matrix: np.ndarray, args, seed: int):
 def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
     """The results of restarts 0 .. restarts-1, in restart order.
 
-    Restart r is in share r % workers, which pool.run_shares runs here for
-    share 0 and in a forked child for the others. A worker per usable CPU
-    (pool.usable_cpus), up to one per restart; with --shuffle each holds
-    its own shuffled copy of the matrix, so only as many as free memory
-    holds. Each fastmsc scan pass splits over the CPUs left over
-    (args.scan_workers). The lowest failing restart's error is raised."""
+    pool.run_shares deals them in consecutive shares, one per worker: a
+    worker per usable CPU (pool.usable_cpus), up to one per restart; with
+    --shuffle each holds its own shuffled copy of the matrix, so only as
+    many as pool.free_memory holds. Each fastmsc scan pass splits over the
+    CPUs left over (args.scan_workers). The lowest failing restart's error
+    is raised: share 0 runs first, here, and a child whose restart raised
+    sends nothing, so its share runs again here, in share order."""
     cpus = usable_cpus()
     workers = min(cpus, restarts)
     if args.shuffle and workers > 1:
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        workers = max(1, min(workers, free // max(matrix.nbytes, 1)))
+        workers = max(1, min(workers, free_memory() // max(matrix.nbytes, 1)))
     args.scan_workers = cpus // workers
-    outcomes = run_shares(lambda share: _run_share(matrix, args, share),
-                          [range(w, restarts, workers) for w in range(workers)])
-    results = []
-    for r in range(restarts):
-        ok, value = outcomes[r % workers][r // workers]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _run_share(matrix, args, share: range) -> list:
-    """(ok, result or exception) of the restarts in share, up to the first
-    that fails: a later one cannot be the lowest failing restart."""
-    outcomes = []
-    for r in share:
-        try:
-            outcomes.append((True, _run_once(matrix, args, args.seed + r)))
-        except Exception as exc:  # raised again, in restart order, by _run_restarts
-            outcomes.append((False, exc))
-            break
-    return outcomes
+    return run_shares(lambda share: [_run_once(matrix, args, args.seed + r) for r in share],
+                      range(restarts), workers)
 
 
 def cmd_cluster(args) -> str:

@@ -23,8 +23,9 @@ The key pieces:
   the next block; ``cli.main`` raises both thresholds at start.
 * ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax.
   With ``workers`` > 1 a pass from 2 * ``SHARE_DISTANCES`` distances (n
-  near 1,450; a fork and its pickle cost 4-5 ms) is split by
-  ``pool.run_shares`` and joined in candidate order, so every swap is the same.
+  near 1,450; a fork and its pickle cost 4-5 ms) is cut by
+  ``pool.run_shares`` into shares of consecutive candidates, whose blocks
+  come back in candidate order, so every swap is the same.
 * ``_swap_if_sum_rises``: a scored swap is kept and counted only if the
   fresh ``ams_sum`` rises by more than ``EPS_GAIN`` (pammedsil's rule),
   else it is swapped back. The scan totals round differently, and from n
@@ -207,11 +208,11 @@ def find_best_swap(state: OptimizerState, workers: int = 1) -> SwapCandidate | N
     """
     candidates = (~state.is_medoid).nonzero()[0]
     width = block_rows(len(state.matrix))
-    count = max(1, min(workers, candidates.size * len(state.matrix) // SHARE_DISTANCES))
-    parts = run_shares(lambda share: [_best_positions(state, share[s:s + width])
-                                      for s in range(0, len(share), width)],
-                       np.array_split(candidates, count))
-    pos, totals = (np.concatenate(col) for col in zip(*(b for part in parts for b in part)))
+    count = min(workers, candidates.size * len(state.matrix) // SHARE_DISTANCES)
+    blocks = run_shares(lambda share: [_best_positions(state, share[s:s + width])
+                                       for s in range(0, len(share), width)],
+                        candidates, count)
+    pos, totals = (np.concatenate(col) for col in zip(*blocks))
     b = int(np.argmax(totals))
     if totals[b] <= EPS_GAIN:
         return None

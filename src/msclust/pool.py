@@ -1,5 +1,5 @@
 """run_shares, the package's one os.fork site, for cli's restarts and
-fastmsc's split scan, and usable_cpus, the CPU count both are sized by."""
+fastmsc's split scan, and the usable_cpus and free_memory they fit in."""
 
 from __future__ import annotations
 
@@ -10,6 +10,22 @@ from pathlib import Path
 
 CGROUP_ROOT = "/sys/fs/cgroup"
 OWN_CGROUP = "/proc/self/cgroup"
+MEMINFO = "/proc/meminfo"
+
+
+def _cgroup_numbers(v1: tuple, v2: tuple):
+    """Per own cgroup of this process with the files named v1 (in a v1
+    hierarchy) or v2 (unified), their integers; "max" (no limit) skips it."""
+    try:
+        entries = [line.split(":", 2) for line in Path(OWN_CGROUP).read_text().splitlines()]
+    except OSError:  # not Linux
+        return
+    for _, controllers, path in entries:
+        where, names = Path(CGROUP_ROOT, controllers, path.lstrip("/")), v1 if controllers else v2
+        try:  # a v1 hierarchy of another controller has no such files
+            yield [int(v) for f in names for v in (where / f).read_text().split()]
+        except (OSError, ValueError):  # ValueError: "max"
+            continue
 
 
 def usable_cpus() -> int:
@@ -18,33 +34,44 @@ def usable_cpus() -> int:
     v2 cpu.max, where "max" is no limit, or v1 cpu.cfs_quota_us over
     cpu.cfs_period_us, where -1 is no limit."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    try:
-        entries = [line.split(":", 2) for line in Path(OWN_CGROUP).read_text().splitlines()]
-    except OSError:  # not Linux
-        return cpus
-    for _, controllers, path in entries:
-        where = Path(CGROUP_ROOT, controllers, path.lstrip("/"))
-        names = ("cpu.cfs_quota_us", "cpu.cfs_period_us") if controllers else ("cpu.max",)
-        try:  # a v1 controller other than cpu has no such files
-            quota, period = map(int, " ".join((where / f).read_text() for f in names).split())
-        except (OSError, ValueError):  # ValueError: "max"
-            continue
+    for quota, period in _cgroup_numbers(("cpu.cfs_quota_us", "cpu.cfs_period_us"), ("cpu.max",)):
         if quota > 0 and period > 0:
             cpus = min(cpus, -(-quota // period))
     return cpus
 
 
-def run_shares(fn, shares) -> list:
-    """[fn(share) for share in shares]: share 0 runs here, each other in a
-    child made with os.fork, on the state it inherits. A share with no
-    child (no pipe or fork), or whose child sent nothing (it raised or
-    died), runs here when collected, in share order. The finally kills and
-    reaps every child not reaped yet, also on an error or interrupt."""
+def free_memory() -> int:
+    """MEMINFO's MemAvailable (else sysconf's free pages) in bytes, capped at
+    the limit less the usage of this process's own cgroup: v2 memory.max
+    less memory.current, or v1 memory.limit_in_bytes less memory.usage_in_bytes."""
+    try:
+        free = int(Path(MEMINFO).read_text().split("MemAvailable:")[1].split()[0]) << 10  # kB
+    except (OSError, IndexError, ValueError):  # not Linux, or a kernel before 3.14
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for limit, usage in _cgroup_numbers(("memory.limit_in_bytes", "memory.usage_in_bytes"),
+                                        ("memory.max", "memory.current")):
+        free = min(free, limit - usage)
+    return free
+
+
+def run_shares(fn, items, count: int) -> list:
+    """fn(items), a list, as the concatenation of fn(share) over max(1,
+    min(count, len(items))) consecutive shares whose sizes differ by at
+    most one, the larger first (np.array_split's rule). Share 0 runs here,
+    each other in a child made with os.fork, on the state it inherits. A
+    share with no child (no pipe or fork), or whose child sent nothing (it
+    raised or died), runs here when collected, in share order, so the
+    first share to fail raises its error here. The finally kills and reaps
+    every child not reaped yet, also on an error or interrupt."""
+    count = max(1, min(count, len(items)))
+    size, extra = divmod(len(items), count)
+    cuts = [s * size + min(s, extra) for s in range(count + 1)]
+    shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     children = [None]  # per share: _fork_share's (pid, read end), or None
     try:
         for share in shares[1:]:
             children.append(_fork_share(fn, share))
-        return [_collect(child, fn, share) for child, share in zip(children, shares)]
+        return [x for child, share in zip(children, shares) for x in _collect(child, fn, share)]
     finally:
         for pid, reader in filter(None, children):
             reader.close()

@@ -245,9 +245,11 @@ def running(pid):
 
 
 class TestRestartWorkers:
-    """cluster deals restart r to worker r % workers: this process and a
-    forked child for each further usable CPU. The output must be the one
-    restarts run one after another give, and no child may outlive main."""
+    """cluster deals its restarts in consecutive shares, one per worker:
+    this process and a forked child for each further usable CPU, so 5
+    restarts on 3 CPUs are dealt as [0, 1] [2, 3] [4], and 4 as [0, 1] [2]
+    [3]. The output must be the one restarts run one after another give,
+    and no child may outlive main."""
 
     @pytest.fixture
     def points(self, tmp_path):
@@ -283,14 +285,15 @@ class TestRestartWorkers:
 
     @pytest.mark.parametrize("failing,reported", [
         ({2, 4}, 2),   # in both children: the lower wins
-        ({2, 3}, 2),   # 3 fails in this process, 2 in a child
+        ({1, 3}, 1),   # 1 fails in this process, 3 in a child
+        ({4}, 4),      # in the last child only
     ])
     def test_the_lowest_failing_restart_is_reported(self, points, monkeypatch, capsys,
                                                     failing, reported):
-        parent, real = os.getpid(), cli._run_once
+        real = cli._run_once
 
         def flaky(matrix, args, seed):
-            if seed in failing and (os.getpid() != parent or seed == 3):
+            if seed in failing:  # wherever it runs
                 raise MedoidError(f"restart {seed} failed")
             return real(matrix, args, seed)
 
@@ -328,10 +331,10 @@ class TestRestartWorkers:
         use_cpus(monkeypatch, 3)
         assert self.run(argv, capsys) == sequential
 
-    def test_a_lost_share_runs_here_before_an_earlier_failure_is_raised(
+    def test_a_failure_in_share_0_is_raised_before_a_lost_share_runs(
             self, points, monkeypatch, capsys):
         """Restart 0 fails in this process and every child dies before it
-        sends: the lost shares run here, and restart 0's error is reported."""
+        sends: restart 0's error is reported, and no lost share runs here."""
         parent, real, ran = os.getpid(), cli._run_once, []
 
         def failing(matrix, args, seed):
@@ -347,7 +350,7 @@ class TestRestartWorkers:
         argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5"]
         assert self.run(argv, capsys) == (
             1, "", "msclust: invalid configuration: restart 0 failed\n")
-        assert ran == [0, 1, 4, 2]
+        assert ran == [0]
 
     def test_an_interrupt_kills_the_workers(self, points, monkeypatch, capsys):
         parent, real = os.getpid(), cli._run_once
@@ -355,7 +358,7 @@ class TestRestartWorkers:
         def interrupted(matrix, args, seed):
             if os.getpid() != parent:
                 time.sleep(60)
-            elif seed == 3:
+            elif seed == 1:
                 raise KeyboardInterrupt
             return real(matrix, args, seed)
 
@@ -373,10 +376,10 @@ class TestRestartWorkers:
         """Every child passes the one cleanup site: a reaped child, whose pid
         may belong to another process by then, is never signalled."""
         parent, real_run, real_fork, real_kill = os.getpid(), cli._run_once, os.fork, os.kill
-        real_loads, forks, kills = cli.pickle.loads, [], []
+        real_loads, forks, kills = pool.pickle.loads, [], []
 
         def hanging(matrix, args, seed):
-            if fail and seed == 2 and os.getpid() != parent:
+            if fail and seed == 3 and os.getpid() != parent:
                 time.sleep(60)
             return real_run(matrix, args, seed)
 
@@ -398,7 +401,7 @@ class TestRestartWorkers:
         monkeypatch.setattr(cli, "_run_once", hanging)
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "kill", kill)
-        monkeypatch.setattr(cli.pickle, "loads", loads)
+        monkeypatch.setattr(pool.pickle, "loads", loads)
         use_cpus(monkeypatch, 3)
         started = time.perf_counter()
         rc, out, err = self.run(["cluster", "--input", points, "--k", "6",
@@ -430,17 +433,17 @@ class TestRestartWorkers:
         assert self.run(["cluster", "--input", points, "--k", "6", *argv], capsys)[0] == 0
 
     @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_shuffled_workers_fit_in_free_memory(self, points, monkeypatch, capsys, copies):
+    def test_shuffled_workers_fit_in_free_memory(self, points, monkeypatch, capsys, tmp_path,
+                                                 copies):
         """With --shuffle every worker holds an n x n copy: only as many
-        workers as there is free memory for copies are used."""
+        workers as there is available memory for copies are used."""
         argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
         use_cpus(monkeypatch, 1)
         sequential = self.run(argv, capsys)
-        real_sysconf, real_fork, forks = os.sysconf, os.fork, []
-        pages = {"SC_PAGE_SIZE": 40 * 40 * 8, "SC_AVPHYS_PAGES": copies}
-
-        def sysconf(name):
-            return pages[name] if name in pages else real_sysconf(name)
+        meminfo = tmp_path / "meminfo"  # MemFree is not what is available
+        meminfo.write_text(f"MemTotal: 9999999 kB\nMemFree: 0 kB\n"
+                           f"MemAvailable: {copies * 40 * 40 * 8 // 1024 + 1} kB\n")
+        real_fork, forks = os.fork, []
 
         def fork():
             pid = real_fork()
@@ -448,9 +451,50 @@ class TestRestartWorkers:
                 forks.append(pid)
             return pid
 
-        monkeypatch.setattr(os, "sysconf", sysconf)
+        monkeypatch.setattr(pool, "MEMINFO", str(meminfo))
         monkeypatch.setattr(os, "fork", fork)
         use_cpus(monkeypatch, 3)
+        assert self.run(argv, capsys) == sequential
+        assert len(forks) == copies - 1
+
+    @pytest.mark.parametrize("files,copies", [
+        ({"memory.max": "max\n", "memory.current": "4096\n"}, 3),  # v2: no limit
+        ({"memory.max": "30000\n", "memory.current": "4000\n"}, 2),  # v2: 26000 bytes left
+        ({"memory.limit_in_bytes": "9223372036854771712\n",
+          "memory.usage_in_bytes": "4096\n"}, 3),  # v1: no limit
+        ({"memory.limit_in_bytes": "20000\n", "memory.usage_in_bytes": "4000\n"}, 1),  # v1
+    ], ids=["v2-max", "v2-limit", "v1-unlimited", "v1-limit"])
+    def test_shuffled_workers_fit_in_the_cgroup_memory_limit(self, points, monkeypatch, capsys,
+                                                             tmp_path, files, copies):
+        """A memory limit on this process's own cgroup caps the shuffled
+        workers at the copies of the 12,800-byte matrix that fit in the
+        limit less the usage; MemAvailable has room for many more."""
+        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
+        use_cpus(monkeypatch, 1)
+        sequential = self.run(argv, capsys)
+        controllers = "" if "memory.max" in files else "memory"
+        own = tmp_path / "cgroup"  # the other hierarchies hold no memory files
+        own.write_text(f"4:cpu,cpuacct:/job\n3:{controllers}:/job\n0::/\n" if controllers
+                       else "0::/job\n")
+        where = tmp_path / "fs" / controllers / "job"
+        where.mkdir(parents=True)
+        for name, text in files.items():
+            (where / name).write_text(text)
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemAvailable: 1000000 kB\n")
+        real_fork, forks = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(pool, "MEMINFO", str(meminfo))
+        monkeypatch.setattr(pool, "OWN_CGROUP", str(own))
+        monkeypatch.setattr(pool, "CGROUP_ROOT", str(tmp_path / "fs"))
         assert self.run(argv, capsys) == sequential
         assert len(forks) == copies - 1
 
