@@ -8,11 +8,11 @@ Verbs:
 cluster deals its restarts in consecutive shares across the usable CPUs
 (restrict them with taskset) and reports the best; among equal
 qualities the earliest restart wins, so the output is the same as on
-one CPU, and an error is the lowest failing restart's. BUILD without
---shuffle is deterministic, so it runs once. fastmsc scores each large
-steepest pass on the CPUs its restart leaves idle. Each verb returns its
-output text; main alone writes it to --output or stdout and maps errors
-to exit codes.
+one CPU, and an error is the lowest failing restart's. BUILD is
+deterministic, so it runs once. fastmsc scores each large steepest pass
+on the CPUs its restart leaves idle. Each verb returns its output text;
+main alone writes it to --output or stdout and maps errors to exit
+codes.
 
 Exit codes: 0 success, 1 invalid configuration, 2 unreadable or
 malformed input, 3 dissimilarity-matrix invariant violation.
@@ -46,7 +46,7 @@ from .core import (
 from .extval import ari, nmi
 from .fastmsc import fastermsc, fastmsc
 from .naive import pammedsil, pamsil
-from .pool import free_memory, run_shares, usable_cpus
+from .pool import run_shares, usable_cpus
 from .silhouette import (medoid_result, medoid_silhouette, plot_data_csv, silhouette,
                          silhouette_plot_data)
 
@@ -85,26 +85,17 @@ def _require_at_least(least: int, **values: int) -> None:
 
 
 def _run_once(matrix: np.ndarray, args, seed: int):
-    """One restart, reported in the input's point order as a fresh recompute
-    from its medoids: the same result every optimizer returns itself."""
-    n = len(matrix)
-    perm, work = np.arange(n), matrix
-    if args.shuffle:
-        perm = np.random.default_rng(seed).permutation(n)
-        work = matrix[np.ix_(perm, perm)]
-
+    """One restart, reported as a fresh recompute from its medoids: the same
+    result every optimizer returns itself."""
     if args.init == "build":
-        m0 = init_build(work, args.k)
+        m0 = init_build(matrix, args.k)
     else:
-        m0 = init_random(n, args.k, seed)
+        m0 = init_random(len(matrix), args.k, seed)
     split = {"workers": args.scan_workers} if args.algorithm == "fastmsc" else {}
-    found = ALGORITHMS[args.algorithm](work, m0, max_iter=args.max_iter, **split)
-
-    medoids = perm[found.medoids]
-    result = medoid_result(nearest_three_all(matrix, medoids), medoids,
+    found = ALGORITHMS[args.algorithm](matrix, m0, max_iter=args.max_iter, **split)
+    result = medoid_result(nearest_three_all(matrix, found.medoids), found.medoids,
                            found.swaps, found.iterations, found.converged)
-    if found.asw is not None:
-        result.asw = silhouette(matrix, result.labels).mean
+    result.asw = found.asw  # pamsil's full Silhouette of these labels
     return result
 
 
@@ -112,16 +103,13 @@ def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
     """The results of restarts 0 .. restarts-1, in restart order.
 
     pool.run_shares deals them in consecutive shares, one per worker: a
-    worker per usable CPU (pool.usable_cpus), up to one per restart; with
-    --shuffle each holds its own shuffled copy of the matrix, so only as
-    many as pool.free_memory holds. Each fastmsc scan pass splits over the
-    CPUs left over (args.scan_workers). The lowest failing restart's error
-    is raised: share 0 runs first, here, and a child whose restart raised
-    sends nothing, so its share runs again here, in share order."""
+    worker per usable CPU (pool.usable_cpus), up to one per restart. Each
+    fastmsc scan pass splits over the CPUs left over (args.scan_workers).
+    The lowest failing restart's error is raised: share 0 runs first,
+    here, and a child whose restart raised sends nothing, so its share runs
+    again here, in share order."""
     cpus = usable_cpus()
     workers = min(cpus, restarts)
-    if args.shuffle and workers > 1:
-        workers = max(1, min(workers, free_memory() // max(matrix.nbytes, 1)))
     args.scan_workers = cpus // workers
     return run_shares(lambda share: [_run_once(matrix, args, args.seed + r) for r in share],
                       range(restarts), workers)
@@ -132,7 +120,7 @@ def cmd_cluster(args) -> str:
     _require_at_least(0, seed=args.seed)
     matrix = _load_matrix(args)
 
-    restarts = args.restarts if args.shuffle or args.init == "random" else 1
+    restarts = args.restarts if args.init == "random" else 1
     started = time.perf_counter()
     results = _run_restarts(matrix, args, restarts)
     # only pamsil sets asw, the quality it optimizes
@@ -235,9 +223,7 @@ def build_parser() -> _Parser:
     p.add_argument("--init", choices=("random", "build"), default="random")
     p.add_argument("--restarts", type=int, default=10,
                    help="restarts with seeds seed..seed+restarts-1; best kept "
-                        "(one run for --init build without --shuffle)")
-    p.add_argument("--shuffle", action="store_true",
-                   help="seeded shuffle of the point order before clustering")
+                        "(one run for --init build)")
     p.add_argument("--asw", action="store_true",
                    help="also report the full Silhouette (O(n^2))")
     p.add_argument("--plot-data", help="write silhouette-plot CSV here")

@@ -1,5 +1,5 @@
 """run_shares, the package's one os.fork site, for cli's restarts and
-fastmsc's split scan, and the usable_cpus and free_memory they fit in."""
+fastmsc's split scan, and the usable_cpus they fit in."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from pathlib import Path
 
 CGROUP_ROOT = "/sys/fs/cgroup"
 OWN_CGROUP = "/proc/self/cgroup"
-MEMINFO = "/proc/meminfo"
 
 
 def _cgroup_numbers(v1: tuple, v2: tuple):
@@ -38,20 +37,6 @@ def usable_cpus() -> int:
         if quota > 0 and period > 0:
             cpus = min(cpus, -(-quota // period))
     return cpus
-
-
-def free_memory() -> int:
-    """MEMINFO's MemAvailable (else sysconf's free pages) in bytes, capped at
-    the limit less the usage of this process's own cgroup: v2 memory.max
-    less memory.current, or v1 memory.limit_in_bytes less memory.usage_in_bytes."""
-    try:
-        free = int(Path(MEMINFO).read_text().split("MemAvailable:")[1].split()[0]) << 10  # kB
-    except (OSError, IndexError, ValueError):  # not Linux, or a kernel before 3.14
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    for limit, usage in _cgroup_numbers(("memory.limit_in_bytes", "memory.usage_in_bytes"),
-                                        ("memory.max", "memory.current")):
-        free = min(free, limit - usage)
-    return free
 
 
 def run_shares(fn, items, count: int) -> list:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ClusteringResult, InputError, NeighborCache, csv_text, label_codes,
-                   nearest_three_all, safe_ratio_arr, square_matrix)
+from .core import (ClusteringResult, InputError, NeighborCache, block_rows, csv_text,
+                   label_codes, nearest_three_all, safe_ratio_arr, square_matrix)
 
 
 @dataclass
@@ -42,10 +42,16 @@ def silhouette(matrix: np.ndarray, labels) -> SilhouetteReport:
     if ncl < 2:
         raise InputError("need at least 2 clusters")
     counts = np.bincount(idx, minlength=ncl)
-    # per-point sums of distances to each cluster, one matrix pass per cluster
+    # per-point sums of distances to each cluster, over row blocks of about
+    # SCAN_BUDGET distances. A 1-row tail joins the block before it: numpy
+    # sums a 1 x m array in another order than the rows of a larger one
+    members = [np.flatnonzero(idx == c) for c in range(ncl)]
     sums = np.empty((n, ncl))
-    for c in range(ncl):
-        sums[:, c] = matrix[:, idx == c].sum(axis=1)
+    starts = range(0, n - 1, max(2, block_rows(n)))
+    for a, b in zip(starts, [*starts[1:], n]):
+        block = matrix[a:b]
+        for c, cols in enumerate(members):
+            sums[a:b, c] = block[:, cols].sum(axis=1)
 
     rows = np.arange(n)
     own_count = counts[idx]

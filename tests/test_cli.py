@@ -88,13 +88,6 @@ class TestCluster:
         assert lines[0] == "label,point,width"
         assert len(lines) == 5
 
-    def test_shuffle_same_quality(self, line_csv, capsys):
-        main(["cluster", "--input", line_csv, "--k", "2", "--shuffle",
-              "--seed", "3"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ams"] == pytest.approx(0.95)
-        assert len(payload["labels"]) == 4
-
     def test_restarts_reach_optimum_on_blobs(self, tmp_path, capsys):
         path = tmp_path / "blobs.csv"
         write_blobs(path, seed=5)
@@ -104,25 +97,23 @@ class TestCluster:
         assert payload["ams"] > 0.9
 
     @pytest.mark.parametrize("algorithm", ["fastmsc", "fastermsc"])
-    @pytest.mark.parametrize("shuffle", [[], ["--shuffle"]])
-    def test_reported_ams_is_a_fresh_recompute(self, algorithm, shuffle, tmp_path, capsys):
+    def test_reported_ams_is_a_fresh_recompute(self, algorithm, tmp_path, capsys):
         for seed in range(8):
             path = tmp_path / f"blobs{seed}.csv"
             write_blobs(path, seed=seed, n=60)
             matrix = build_matrix(load_points_csv(str(path)))
             main(["cluster", "--input", str(path), "--k", "5", "--seed", str(seed),
-                  "--restarts", "3", "--algorithm", algorithm, *shuffle])
+                  "--restarts", "3", "--algorithm", algorithm])
             payload = json.loads(capsys.readouterr().out)
             assert payload["ams"] == ams(matrix, payload["medoids"])
 
-    @pytest.mark.parametrize("shuffle", [[], ["--shuffle"]])
-    def test_reported_asw_is_a_fresh_recompute(self, shuffle, tmp_path, capsys):
+    def test_reported_asw_is_a_fresh_recompute(self, tmp_path, capsys):
         for seed in range(8):
             path = tmp_path / f"blobs{seed}.csv"
             write_blobs(path, seed=seed, n=24)
             matrix = build_matrix(load_points_csv(str(path)))
             main(["cluster", "--input", str(path), "--k", "4", "--seed", str(seed),
-                  "--restarts", "2", "--algorithm", "pamsil", *shuffle])
+                  "--restarts", "2", "--algorithm", "pamsil"])
             payload = json.loads(capsys.readouterr().out)
             assert payload["asw"] == silhouette(matrix, payload["labels"]).mean
             assert payload["ams"] == ams(matrix, payload["medoids"])
@@ -158,12 +149,7 @@ class TestCluster:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ams"] == pytest.approx(0.95)
 
-    @pytest.mark.parametrize("extra,calls", [
-        ([], 1),  # every BUILD restart would repeat the same run
-        (["--shuffle"], 5),
-    ])
-    def test_build_init_runs_once_unless_shuffled(self, line_csv, monkeypatch, capsys,
-                                                  tmp_path, extra, calls):
+    def test_build_init_runs_once(self, line_csv, monkeypatch, capsys, tmp_path):
         import msclust.cli as cli
 
         seen = tmp_path / "calls"  # a file, so that calls made in a worker count too
@@ -176,10 +162,11 @@ class TestCluster:
 
         monkeypatch.setitem(cli.ALGORITHMS, "fastmsc", counting)
         rc = main(["cluster", "--input", line_csv, "--k", "2", "--algorithm", "fastmsc",
-                   "--init", "build", "--restarts", "5", *extra])
+                   "--init", "build", "--restarts", "5"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["ams"] == pytest.approx(0.95)
-        assert len(seen.read_text(encoding="utf-8").splitlines()) == calls
+        # every BUILD restart would repeat the same run
+        assert len(seen.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_matrix_kind(self, tmp_path, capsys):
         from msclust import build_matrix
@@ -269,11 +256,9 @@ class TestRestartWorkers:
         ["fastermsc"], ["fastmsc"],
         ["pammedsil", "--max-iter", "2"], ["pamsil", "--max-iter", "2"],
     ], ids=lambda a: a[0])
-    @pytest.mark.parametrize("shuffle", [[], ["--shuffle"]], ids=["", "shuffle"])
-    def test_workers_give_the_sequential_output(self, points, monkeypatch, capsys,
-                                                algorithm, shuffle):
+    def test_workers_give_the_sequential_output(self, points, monkeypatch, capsys, algorithm):
         base = ["cluster", "--input", points, "--k", "6", "--seed", "4",
-                "--algorithm", *algorithm, *shuffle]
+                "--algorithm", *algorithm]
         for extra in (*(["--restarts", str(r)] for r in range(1, 6)),
                       ["--restarts", "5", "--format", "csv"]):
             use_cpus(monkeypatch, 1)
@@ -306,7 +291,7 @@ class TestRestartWorkers:
     @pytest.mark.parametrize("loss", ["exit", "fork", "pipe"])
     def test_a_lost_worker_gives_the_sequential_output(self, points, monkeypatch, capsys,
                                                        loss):
-        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
+        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5"]
         use_cpus(monkeypatch, 1)
         sequential = self.run(argv, capsys)
         parent, real = os.getpid(), cli._run_once
@@ -417,7 +402,7 @@ class TestRestartWorkers:
 
     @pytest.mark.parametrize("argv,cpus", [
         (["--restarts", "1"], 3),
-        (["--init", "build"], 3),   # one run without --shuffle
+        (["--init", "build"], 3),   # one run
         (["--restarts", "5"], 1),
         (["--restarts", "5"], None),  # no os.sched_getaffinity, as on macOS
     ])
@@ -431,72 +416,6 @@ class TestRestartWorkers:
         else:
             use_cpus(monkeypatch, cpus)
         assert self.run(["cluster", "--input", points, "--k", "6", *argv], capsys)[0] == 0
-
-    @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_shuffled_workers_fit_in_free_memory(self, points, monkeypatch, capsys, tmp_path,
-                                                 copies):
-        """With --shuffle every worker holds an n x n copy: only as many
-        workers as there is available memory for copies are used."""
-        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
-        use_cpus(monkeypatch, 1)
-        sequential = self.run(argv, capsys)
-        meminfo = tmp_path / "meminfo"  # MemFree is not what is available
-        meminfo.write_text(f"MemTotal: 9999999 kB\nMemFree: 0 kB\n"
-                           f"MemAvailable: {copies * 40 * 40 * 8 // 1024 + 1} kB\n")
-        real_fork, forks = os.fork, []
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(pool, "MEMINFO", str(meminfo))
-        monkeypatch.setattr(os, "fork", fork)
-        use_cpus(monkeypatch, 3)
-        assert self.run(argv, capsys) == sequential
-        assert len(forks) == copies - 1
-
-    @pytest.mark.parametrize("files,copies", [
-        ({"memory.max": "max\n", "memory.current": "4096\n"}, 3),  # v2: no limit
-        ({"memory.max": "30000\n", "memory.current": "4000\n"}, 2),  # v2: 26000 bytes left
-        ({"memory.limit_in_bytes": "9223372036854771712\n",
-          "memory.usage_in_bytes": "4096\n"}, 3),  # v1: no limit
-        ({"memory.limit_in_bytes": "20000\n", "memory.usage_in_bytes": "4000\n"}, 1),  # v1
-    ], ids=["v2-max", "v2-limit", "v1-unlimited", "v1-limit"])
-    def test_shuffled_workers_fit_in_the_cgroup_memory_limit(self, points, monkeypatch, capsys,
-                                                             tmp_path, files, copies):
-        """A memory limit on this process's own cgroup caps the shuffled
-        workers at the copies of the 12,800-byte matrix that fit in the
-        limit less the usage; MemAvailable has room for many more."""
-        argv = ["cluster", "--input", points, "--k", "6", "--restarts", "5", "--shuffle"]
-        use_cpus(monkeypatch, 1)
-        sequential = self.run(argv, capsys)
-        controllers = "" if "memory.max" in files else "memory"
-        own = tmp_path / "cgroup"  # the other hierarchies hold no memory files
-        own.write_text(f"4:cpu,cpuacct:/job\n3:{controllers}:/job\n0::/\n" if controllers
-                       else "0::/job\n")
-        where = tmp_path / "fs" / controllers / "job"
-        where.mkdir(parents=True)
-        for name, text in files.items():
-            (where / name).write_text(text)
-        meminfo = tmp_path / "meminfo"
-        meminfo.write_text("MemAvailable: 1000000 kB\n")
-        real_fork, forks = os.fork, []
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        use_cpus(monkeypatch, 3)
-        monkeypatch.setattr(pool, "MEMINFO", str(meminfo))
-        monkeypatch.setattr(pool, "OWN_CGROUP", str(own))
-        monkeypatch.setattr(pool, "CGROUP_ROOT", str(tmp_path / "fs"))
-        assert self.run(argv, capsys) == sequential
-        assert len(forks) == copies - 1
 
     @pytest.mark.parametrize("files,cpus", [
         ({"cpu.max": "max 100000\n"}, 3),  # v2: no limit
@@ -576,8 +495,7 @@ class TestRestartWorkers:
         monkeypatch.setattr(cli, "_run_once", lambda matrix, args, seed: seed)
         use_cpus(monkeypatch, cpus)
         for restarts in range(1, 8):
-            got = cli._run_restarts(None, types.SimpleNamespace(seed=10, shuffle=False),
-                                    restarts)
+            got = cli._run_restarts(None, types.SimpleNamespace(seed=10), restarts)
             assert got == list(range(10, 10 + restarts))
         assert_no_child_left()
 
@@ -658,6 +576,7 @@ class TestEval:
 class TestExitCodes:
     def test_bad_config_unknown_flag(self, line_csv):
         for argv in (["cluster", "--input", line_csv, "--k", "2", "--nope"],
+                     ["cluster", "--input", line_csv, "--k", "2", "--shuffle"],  # a removed flag
                      ["bench", "--sizes", "30", "--ks", "2"]):  # a removed verb
             with pytest.raises(SystemExit) as exc:
                 main(argv)

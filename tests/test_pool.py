@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from msclust import pool
-from msclust.pool import free_memory, run_shares
+from msclust.pool import run_shares
 
 from helpers import assert_no_child_left
 
@@ -103,16 +102,3 @@ def test_a_failure_in_share_0_runs_no_other_share(forks):
     assert time.perf_counter() - started < 30
     assert len(forks) == 2
     assert ran == [0, 1, 2]
-
-
-def test_free_memory_falls_back_to_the_free_pages(monkeypatch, tmp_path):
-    """Without MemAvailable (a kernel before 3.14, or no /proc/meminfo),
-    the free pages count, capped by the cgroup as ever."""
-    meminfo = tmp_path / "meminfo"
-    meminfo.write_text("MemTotal: 9999999 kB\nMemFree: 1 kB\n")
-    pages = {"SC_PAGE_SIZE": 4096, "SC_AVPHYS_PAGES": 5}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    monkeypatch.setattr(pool, "OWN_CGROUP", os.devnull)
-    for path in (meminfo, tmp_path / "missing"):
-        monkeypatch.setattr(pool, "MEMINFO", str(path))
-        assert free_memory() == 5 * 4096
