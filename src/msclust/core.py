@@ -12,7 +12,9 @@ Loops over the rows of an n x n array (the distance kernel in
 ``build_matrix``, BUILD in ``init_build`` and the swap scan in
 ``fastmsc``) work on blocks of ``block_rows(n)`` rows, so each
 temporary holds at most SCAN_BUDGET distances whatever n is. The
-package needs numpy only.
+package needs numpy only; where a C compiler is at hand, ``fastmsc``
+builds its scan kernel from ``_scan.c`` on first use (``msclust.cscan``),
+with the same results.
 """
 
 from __future__ import annotations

@@ -20,7 +20,10 @@ The key pieces:
   whatever n is. Together they exceed glibc's trim threshold (128 KiB,
   or twice the largest freed mmapped chunk once it adapts), so the heap
   a block frees would go back to the system and be faulted in again by
-  the next block; ``cli.main`` raises both thresholds at start.
+  the next block; ``cli.main`` raises both thresholds at start. Where
+  ``msclust.cscan`` can build and load ``_scan.c`` on the first scan, a
+  C loop that allocates only its output computes the same bits, and the
+  numpy body is its fallback and its reference.
 * ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax.
   With ``workers`` > 1 a pass from 2 * ``SHARE_DISTANCES`` distances (n
   near 1,450; a fork and its pickle cost 4-5 ms) is cut by
@@ -71,6 +74,10 @@ from .pool import run_shares
 from .silhouette import medoid_result
 
 SHARE_DISTANCES = 2**20
+
+# block_totals' compiled kernel: False until its first call loads it, then
+# the C function, or None (it could not be built or loaded): numpy scores
+_kernel = False
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,28 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     acc[r, i] + shared[r], and equals the sum of swap_delta over all
     points. Only pairs with d(o, j) < d3(o) contribute; the rest are in
     the far-far case, whose delta is zero.
+
+    The C kernel of _scan.c returns the same bits. It runs when it loaded,
+    every array has the dtype, shape and C layout that it reads, and J is
+    in range; otherwise the numpy body below runs, which is also the
+    reference that the tests hold it to.
     """
+    global _kernel
+    if _kernel is False:
+        from . import cscan  # here: its build tools stay out of the CLI's import
+        _kernel = cscan.load()
     c = state.cache
     n = len(state.matrix)
     m, k = len(J), state.k
+    ints = [(J, (m,)), (c.n1, (n,)), (c.n2, (n,))]
+    doubles = [(state.matrix, (n, n)), (c.d1, (n,)), (c.d2, (n,)), (c.d3, (n,)),
+               (state.r12, (n,)), (state.r13, (n,)), (state.r23, (n,)),
+               (state.removal_loss, (k,))]
+    if (_kernel is not None and _kernel_reads(ints, np.intp)
+            and _kernel_reads(doubles, np.float64) and (m == 0 or 0 <= J.min() <= J.max() < n)):
+        out = np.empty(m * k + m + k)
+        _kernel(n, m, k, *(a.ctypes.data for a, _ in ints + doubles), out.ctypes.data)
+        return out[:m * k].reshape(m, k), out[m * k:m * k + m]
     rows = state.matrix[J]
     # flat indices of the near pairs, row-major: candidate r, point p
     flat = (rows < c.d3).ravel().nonzero()[0]
@@ -174,6 +199,14 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
                                            minlength=m * k).reshape(m, k)
     acc += np.bincount(rk + c.n2.take(p), weights=cn2, minlength=m * k).reshape(m, k)
     return acc, shared
+
+
+def _kernel_reads(arrays, dtype) -> bool:
+    """Whether every (array, shape) has that shape and dtype and the C
+    layout, as the C kernel reads it. The cache's n1 and n2, which index
+    its bins, are in [0, k) by construction."""
+    return all(a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+               for a, shape in arrays)
 
 
 def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
