@@ -1,6 +1,8 @@
-/* The swap-candidate scan of msclust.fastmsc.block_totals, in C.
+/* The swap-candidate scan of msclust.fastmsc, in C: block_totals, the
+   neighbour rescan of fastmsc._rescan, and eager_next, the block loop of
+   fastmsc._fastermsc_state.
 
-   It does the float64 operations of the numpy body in the same order, so
+   Each does the float64 operations of the numpy body in the same order, so
    it returns the same bits: each candidate row's near points (d(o, j) <
    d3(o)) in index order, the n1 and n2 bins summed apart from 0.0 as
    np.bincount sums them and then added as (removal_loss + B1) + B2, every
@@ -8,6 +10,7 @@
    cc -O2 -ffp-contract=off -fPIC -shared: a fused multiply-add or
    -ffast-math would change the bits. */
 
+#include <math.h>
 #include <stddef.h>
 
 #define TINY 0x1p-1074 /* the smallest positive float64 */
@@ -46,4 +49,160 @@ void block_totals(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const ptrdiff_t *J,
         for (ptrdiff_t i = 0; i < k; i++)
             b1[i] = (removal_loss[i] + b1[i]) + b2[i];
     }
+}
+
+/* core.top3 and fastmsc._refresh_derived for the count points idx: each
+   point's first minimum over its medoid distances, the first minimum of
+   the rest, and the minimum of what is left (+inf at k = 2, and +0.0 for
+   a zero of either sign), then its three ratios; then removal_loss summed
+   over all n points in index order, as B1 + B2. work holds k doubles.
+   Returns -1, having written nothing, if an index is out of range. */
+ptrdiff_t rescan(ptrdiff_t n, ptrdiff_t k, ptrdiff_t count, const ptrdiff_t *idx,
+                 ptrdiff_t *n1, ptrdiff_t *n2, const double *matrix, double *d1, double *d2,
+                 double *d3, double *r12, double *r13, double *r23, double *removal_loss,
+                 const ptrdiff_t *medoids, double *work)
+{
+    for (ptrdiff_t c = 0; c < count; c++)
+        if (idx[c] < 0 || idx[c] >= n)
+            return -1;
+    for (ptrdiff_t i = 0; i < k; i++)
+        if (medoids[i] < 0 || medoids[i] >= n)
+            return -1;
+    for (ptrdiff_t c = 0; c < count; c++) {
+        ptrdiff_t p = idx[c], a = 0, b = 0;
+        const double *row = matrix + p * n;
+        for (ptrdiff_t i = 1; i < k; i++)
+            if (row[medoids[i]] < row[medoids[a]])
+                a = i;
+        /* top3 takes each minimum from a copy in which the taken entry is +inf */
+        double db = a == 0 ? INFINITY : row[medoids[0]], dc = INFINITY;
+        for (ptrdiff_t i = 1; i < k; i++)
+            if (i != a && row[medoids[i]] < db) {
+                b = i;
+                db = row[medoids[i]];
+            }
+        for (ptrdiff_t i = 0; i < k; i++)
+            if (i != a && i != b && row[medoids[i]] < dc)
+                dc = row[medoids[i]];
+        n1[p] = a;
+        n2[p] = b;
+        d1[p] = row[medoids[a]];
+        d2[p] = db;
+        d3[p] = dc + 0.0;
+        r12[p] = ratio(d1[p], d2[p]);
+        r23[p] = ratio(d2[p], d3[p]);
+        r13[p] = ratio(d1[p], d3[p]);
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        removal_loss[i] = work[i] = 0.0;
+    for (ptrdiff_t p = 0; p < n; p++) {
+        removal_loss[n1[p]] += r12[p] - r23[p];
+        work[n2[p]] += r12[p] - r13[p];
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        removal_loss[i] += work[i];
+    return 0;
+}
+
+/* The fields of eager_next's state vector, and what it returns. */
+enum { J0, STOP, VISITED, WIDTH, ROW, ROWS, PASSES, LAST_PASS, CAP, RESUME, KEPT, POSITION,
+       CANDIDATE, SCORED, BUDGET };
+enum { CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED };
+
+/* fastmsc._fastermsc_state's block loop, resumed from the state vector st:
+   block [J0, STOP) of width WIDTH, VISITED positions since the last swap,
+   the next row ROW of the block's ROWS scored rows (-1 before a block),
+   PASSES started of LAST_PASS, and widths from 1 up to CAP, RESUME after a
+   swap. The caller sets KEPT after keeping the swap of CANDIDATE; SCORED
+   counts the rows scored here. It returns
+   - IMPROVES: row ROW - 1, CANDIDATE at POSITION, totals above eps; the
+     caller tries that swap with the fresh sum, and a rejected swap leaves
+     the block's later totals as they were;
+   - ONE_CANDIDATE: the block holds only CANDIDATE, which the caller scores;
+   - PAUSED: the next block would take this call past BUDGET distances;
+   - CONVERGED or OUT_OF_PASSES: the run is over.
+   J holds 2 CAP intp (the block's candidates, then their best positions),
+   out CAP (k + 1) + k doubles (block_totals' output, the shared gains
+   replaced by the totals). */
+ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
+                     const ptrdiff_t *n2, const double *matrix, const double *d1,
+                     const double *d2, const double *d3, const double *r12, const double *r13,
+                     const double *r23, const double *removal_loss,
+                     const unsigned char *is_medoid, ptrdiff_t *st, ptrdiff_t *J, double *out)
+{
+    ptrdiff_t j = st[J0], stop = st[STOP], visited = st[VISITED], width = st[WIDTH];
+    ptrdiff_t row = st[ROW], m = st[ROWS], cap = st[CAP], distances = 0, code;
+    if (st[KEPT]) {
+        st[KEPT] = 0;
+        width = st[RESUME];
+        visited = 1;
+        j = st[CANDIDATE] + 1;
+        row = -1;
+    }
+    for (;;) {
+        if (row >= 0) {
+            double *totals = out + m * k;
+            while (row < m && !(totals[row] > eps))
+                row++;
+            if (row < m) {
+                st[POSITION] = J[cap + row];
+                st[CANDIDATE] = J[row++];
+                code = IMPROVES;
+                break;
+            }
+            width = 2 * width < cap ? 2 * width : cap;
+            visited += stop - j;
+            j = stop;
+            row = -1;
+        }
+        if (visited >= n) {
+            code = CONVERGED;
+            break;
+        }
+        if (j == n) {
+            if (st[PASSES] >= st[LAST_PASS]) {
+                code = OUT_OF_PASSES;
+                break;
+            }
+            st[PASSES]++;
+            j = 0;
+        }
+        stop = j + width < n ? j + width : n;
+        stop = stop < j + n - visited ? stop : j + n - visited;
+        m = 0;
+        for (ptrdiff_t p = j; p < stop; p++)
+            if (!is_medoid[p])
+                J[m++] = p;
+        if (m == 1) {
+            st[CANDIDATE] = J[0];
+            row = 1;
+            code = ONE_CANDIDATE;
+            break;
+        }
+        if (distances > 0 && distances + m * n > st[BUDGET]) {
+            code = PAUSED; /* the next call makes this block again */
+            break;
+        }
+        row = 0;
+        block_totals(n, m, k, J, n1, n2, matrix, d1, d2, d3, r12, r13, r23, removal_loss, out);
+        for (ptrdiff_t r = 0; r < m; r++) {
+            /* np.argmax: the first maximum, or the first NaN */
+            const double *acc = out + r * k;
+            ptrdiff_t best = 0;
+            for (ptrdiff_t i = 1; i < k && acc[best] == acc[best]; i++)
+                if (acc[i] > acc[best] || acc[i] != acc[i])
+                    best = i;
+            J[cap + r] = best;
+            out[m * k + r] = acc[best] + out[m * k + r];
+        }
+        st[SCORED] += m;
+        distances += m * n;
+    }
+    st[J0] = j;
+    st[STOP] = stop;
+    st[VISITED] = visited;
+    st[WIDTH] = width;
+    st[ROW] = row;
+    st[ROWS] = m;
+    return code;
 }

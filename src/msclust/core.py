@@ -212,14 +212,16 @@ class NeighborCache:
 def top3(d: np.ndarray) -> NeighborCache:
     """NeighborCache of a points x medoids distance block. Ties go to the
     lower medoid position, the first minimum argmin takes from a copy in
-    which each taken entry becomes +inf (so d3 = +inf when k == 2)."""
+    which each taken entry becomes +inf (so d3 = +inf when k == 2). A zero
+    d3 is +0.0: which zero min returns varies with numpy's vector width,
+    and the C rescan of _scan.c must give the same bits."""
     rows = np.arange(len(d))
     t = d.copy()
     n1 = t.argmin(axis=1)
     d1, t[rows, n1] = t[rows, n1], np.inf
     n2 = t.argmin(axis=1)
     d2, t[rows, n2] = t[rows, n2], np.inf
-    return NeighborCache(n1, n2, d1, d2, t.min(axis=1))
+    return NeighborCache(n1, n2, d1, d2, t.min(axis=1) + 0.0)
 
 
 def nearest_three_all(matrix: np.ndarray, medoids) -> NeighborCache:

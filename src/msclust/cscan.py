@@ -1,13 +1,14 @@
-"""The compiled form of fastmsc.block_totals: _scan.c, built by the system C
+"""The compiled form of fastmsc's scan: _scan.c, built by the system C
 compiler on first use and loaded with ctypes.
 
 ``load`` compiles the source once into the package's ``__pycache__``,
 under a name keyed by the SHA-256 of the source and the flags, so a
 changed source builds anew and an unchanged one loads at once. The
 compiler writes a temporary file that ``os.replace`` moves into place,
-so processes that build at the same time cannot tear the library. Any
-failure (no ``cc``, an unwritable cache, a compile error or timeout, a
-library that does not load) gives None, and fastmsc scores with numpy.
+so processes that build at the same time cannot tear the library. A
+cached library that does not load is built once more. Any other failure
+(no ``cc``, an unwritable cache, a compile error or timeout, a library
+that does not load) gives None, and fastmsc scores with numpy.
 """
 
 from __future__ import annotations
@@ -16,43 +17,61 @@ import ctypes
 import hashlib
 import os
 import shutil
-import signal
-import subprocess
 import tempfile
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_scan.c")
 CACHE = SOURCE.with_name("__pycache__")
 # -ffp-contract=off: no fused multiply-adds; never -ffast-math, which reorders
-# the sums and flushes subnormals to zero. Either would change the bits.
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# the sums and flushes subnormals to zero. Either would change the bits. The
+# alignments pin the code placement, on which the scan's speed depends.
+FLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-falign-loops=32", "-fPIC",
+         "-shared")
 COMPILE_SECONDS = 30.0
 
 
 def load():
     """The C function block_totals(n, m, k, J, n1, n2, matrix, d1, d2, d3,
-    r12, r13, r23, removal_loss, out), or None if it cannot be built or
-    loaded. Every array argument is the address of a C-ordered float64 or
-    intp array; out receives acc (m x k), then shared (m), then k doubles
-    of work."""
+    r12, r13, r23, removal_loss, out), with the library's rescan and
+    eager_next as its attributes, or None if it cannot be built or loaded.
+    Every array argument is the address of a C-ordered array; _scan.c
+    gives their types."""
     try:
         source = SOURCE.read_bytes()
         key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
         path = CACHE / f"_scan-{key}.so"
-        if not path.exists():
+        cached = path.exists()
+        if not cached:
             _build(path)
-        kernel = ctypes.CDLL(str(path)).block_totals
-    except (OSError, subprocess.SubprocessError, AttributeError):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            if not cached:
+                raise
+            path.unlink(missing_ok=True)
+            _build(path)
+            library = ctypes.CDLL(str(path))
+        kernel, rescan, eager_next = library.block_totals, library.rescan, library.eager_next
+    except (OSError, AttributeError):
         return None
+    ssize, address = ctypes.c_ssize_t, ctypes.c_void_p
     kernel.restype = None
-    kernel.argtypes = [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p] * 12
+    kernel.argtypes = [ssize] * 3 + [address] * 12
+    rescan.restype = ssize
+    rescan.argtypes = [ssize] * 3 + [address] * 13
+    eager_next.restype = ssize
+    eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 14
+    kernel.rescan, kernel.eager_next = rescan, eager_next
     return kernel
 
 
 def _build(path: Path) -> None:
-    """Compile SOURCE into path, or raise OSError or SubprocessError. A
-    compiler still running at the timeout, or at an interrupt, is killed
-    with every process it started, and the temporary file is removed."""
+    """Compile SOURCE into path, or raise OSError. A compiler still running
+    at the timeout, or at an interrupt, is killed with every process it
+    started, and the temporary file is removed."""
+    import signal  # here, as they cost a process that loads a cached kernel 6 ms
+    import subprocess
+
     cc = shutil.which("cc")
     if cc is None:
         raise FileNotFoundError("no C compiler named cc on PATH")
@@ -65,12 +84,14 @@ def _build(path: Path) -> None:
                                 start_new_session=True)
         try:
             code = proc.wait(timeout=COMPILE_SECONDS)
+        except subprocess.TimeoutExpired:
+            raise TimeoutError(f"{cc} ran past {COMPILE_SECONDS} s") from None
         finally:
             if proc.returncode is None:  # cc1, as and ld run in cc's process group
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
         if code != 0:
-            raise subprocess.CalledProcessError(code, cc)
+            raise OSError(f"{cc} exited with {code}")
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)

@@ -7,8 +7,11 @@ The key pieces:
   matrix that the public caller has passed through ``check_matrix``. Every
   ``_rescan`` (after a swap or a removal) ends in ``_refresh_derived``,
   which alone derives the removal losses (the change in the silhouette
-  sum if a medoid were deleted). ``ams_sum`` sums 1 - r12, which is
-  ``medoid_widths`` over the cache, as ``silhouette.medoid_result`` does.
+  sum if a medoid were deleted), or in the C ``rescan`` of ``_scan.c``,
+  which derives them in place with the same bits. ``ams_sum`` sums
+  1 - r12, which is ``medoid_widths`` over the cache, as
+  ``silhouette.medoid_result`` does. The state keeps the addresses of its
+  arrays for the C functions (``_addresses``).
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
@@ -44,7 +47,12 @@ The key pieces:
   the swap sequence is the same as scoring one candidate at a time. The
   first block of a run is one candidate wide; after a swap a block is
   about ``SCAN_BUDGET / 8`` distances wide, and a block without a swap
-  doubles the width up to ``SCAN_BUDGET``.
+  doubles the width up to ``SCAN_BUDGET``. With the compiled kernel the
+  block loop is ``eager_next`` of ``_scan.c``, a state machine that
+  returns to Python only to try an improving swap with the fresh sum, to
+  score a block of one candidate through ``candidate_totals``, after
+  ``EAGER_DISTANCES`` distances, and at the end; it makes no block
+  temporaries.
 
 All delta values are gains in the unnormalized silhouette sum; division
 by n happens only at reporting boundaries. The scalar per-point delta
@@ -53,6 +61,7 @@ they sum is ``msclust.oracle.swap_delta``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +83,17 @@ from .pool import run_shares
 from .silhouette import medoid_result
 
 SHARE_DISTANCES = 2**20
+# the distances that eager_next scores before it returns, so that Python sees
+# an interrupt within milliseconds
+EAGER_DISTANCES = 2**22
+# the fields of eager_next's state vector that Python reads or sets, and its
+# return codes, as _scan.c numbers them
+PASSES, CAP, KEPT, POSITION, CANDIDATE, SCORED = 6, 8, 10, 11, 12, 13
+CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED = range(5)
 
-# block_totals' compiled kernel: False until its first call loads it, then
-# the C function, or None (it could not be built or loaded): numpy scores
+# block_totals' compiled kernel: False until the first _addresses call loads
+# it, then the C function with rescan and eager_next as its attributes, or
+# None (it could not be built or loaded): numpy scores
 _kernel = False
 
 
@@ -104,6 +121,8 @@ class OptimizerState:
     r12: np.ndarray = field(default=None, repr=False)
     r13: np.ndarray = field(default=None, repr=False)
     r23: np.ndarray = field(default=None, repr=False)
+    # (arrays, addresses) of the last _addresses call; see there
+    addresses: tuple = field(default=None, repr=False)
 
     @property
     def k(self) -> int:
@@ -153,26 +172,19 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     points. Only pairs with d(o, j) < d3(o) contribute; the rest are in
     the far-far case, whose delta is zero.
 
-    The C kernel of _scan.c returns the same bits. It runs when it loaded,
-    every array has the dtype, shape and C layout that it reads, and J is
-    in range; otherwise the numpy body below runs, which is also the
-    reference that the tests hold it to.
+    The C kernel of _scan.c returns the same bits. It runs when _addresses
+    has the state's arrays and J is a C-ordered intp array in range;
+    otherwise the numpy body below runs, which is also the reference that
+    the tests hold it to.
     """
-    global _kernel
-    if _kernel is False:
-        from . import cscan  # here: its build tools stay out of the CLI's import
-        _kernel = cscan.load()
+    addresses = _addresses(state)
     c = state.cache
     n = len(state.matrix)
     m, k = len(J), state.k
-    ints = [(J, (m,)), (c.n1, (n,)), (c.n2, (n,))]
-    doubles = [(state.matrix, (n, n)), (c.d1, (n,)), (c.d2, (n,)), (c.d3, (n,)),
-               (state.r12, (n,)), (state.r13, (n,)), (state.r23, (n,)),
-               (state.removal_loss, (k,))]
-    if (_kernel is not None and _kernel_reads(ints, np.intp)
-            and _kernel_reads(doubles, np.float64) and (m == 0 or 0 <= J.min() <= J.max() < n)):
+    if (addresses is not None and _kernel_reads([(J, (m,))], np.intp)
+            and (m == 0 or 0 <= J.min() <= J.max() < n)):
         out = np.empty(m * k + m + k)
-        _kernel(n, m, k, *(a.ctypes.data for a, _ in ints + doubles), out.ctypes.data)
+        _kernel(n, m, k, J.ctypes.data, *addresses[0], out.ctypes.data)
         return out[:m * k].reshape(m, k), out[m * k:m * k + m]
     rows = state.matrix[J]
     # flat indices of the near pairs, row-major: candidate r, point p
@@ -199,6 +211,45 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
                                            minlength=m * k).reshape(m, k)
     acc += np.bincount(rk + c.n2.take(p), weights=cn2, minlength=m * k).reshape(m, k)
     return acc, shared
+
+
+def _addresses(state: OptimizerState) -> tuple | None:
+    """The addresses that the C functions of _scan.c read for this state:
+    (n1, n2, matrix, d1, d2, d3, r12, r13, r23 and removal_loss in
+    block_totals' order; medoids; a work array of k doubles; is_medoid).
+
+    None where the kernel did not load, or where an array lacks the dtype,
+    shape, C layout or writability that C needs (a Fortran-ordered matrix,
+    say): numpy runs then. The state keeps its arrays with their addresses
+    and checks them by identity, so the checks run only after an array is
+    replaced (make_state, the numpy _rescan and remove_medoid do that), and
+    a stale address never reaches C.
+    """
+    global _kernel
+    if _kernel is False:
+        from . import cscan  # here: its build tools stay out of the CLI's import
+        _kernel = cscan.load()
+    if _kernel is None:
+        return None
+    c = state.cache
+    arrays = (c.n1, c.n2, state.matrix, c.d1, c.d2, c.d3, state.r12, state.r13, state.r23,
+              state.removal_loss, state.medoids, state.is_medoid)
+    kept = state.addresses
+    if kept is not None and all(map(operator.is_, arrays, kept[0])):
+        return kept[1]
+    n, k = len(state.matrix), state.k
+    addresses = None
+    if (_kernel_reads([(c.n1, (n,)), (c.n2, (n,)), (state.medoids, (k,))], np.intp)
+            and _kernel_reads([(state.matrix, (n, n))] + [(a, (n,)) for a in arrays[3:9]]
+                              + [(state.removal_loss, (k,))], np.float64)
+            and _kernel_reads([(state.is_medoid, (n,))], np.bool_)
+            and all(a.flags.writeable for a in arrays if a is not state.matrix)):
+        work = np.empty(k)
+        addresses = (tuple(a.ctypes.data for a in arrays[:10]), state.medoids.ctypes.data,
+                     work.ctypes.data, state.is_medoid.ctypes.data)
+        arrays += (work,)  # kept alive with the state
+    state.addresses = (arrays, addresses)
+    return addresses
 
 
 def _kernel_reads(arrays, dtype) -> bool:
@@ -285,7 +336,16 @@ def _swap_if_sum_rises(state: OptimizerState, position: int, replacement: int,
 
 def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
     """Recompute the neighbor records of the points in idx, then what is
-    derived from the cache."""
+    derived from the cache: in place by rescan of _scan.c where
+    _addresses has the state's arrays, else with numpy, in the same bits."""
+    if state.removal_loss.shape != (state.k,):  # remove_medoid shrank k
+        state.removal_loss = np.empty(state.k)
+    addresses = _addresses(state)
+    if addresses is not None and _kernel_reads([(idx, (len(idx),))], np.intp):
+        scan, medoids, work, _ = addresses
+        if _kernel.rescan(len(state.matrix), state.k, len(idx), idx.ctypes.data, *scan,
+                          medoids, work) == 0:
+            return
     t = top3(state.matrix[idx[:, None], state.medoids])
     c = state.cache
     c.n1[idx], c.n2[idx], c.d1[idx], c.d2[idx], c.d3[idx] = t.n1, t.n2, t.d1, t.d2, t.d3
@@ -352,11 +412,23 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     and each block without a swap doubles the width, up to cap rows.
     The resume width trades a block's fixed cost of some 40 numpy calls
     against the rows scored past the next swap, which are wasted.
+
+    Where _addresses has the state's arrays, _eager_compiled runs this
+    loop in C, with the same blocks; the loop below is its fallback and
+    its reference.
     """
     n = len(state.matrix)
     cap = block_rows(n)
     resume = max(1, cap // 8)
-    last_pass = state.iterations + max_iter
+    # C counts passes in intp; no run makes 2**30 of them
+    last_pass = state.iterations + min(max(max_iter, 0), 2**30)
+    if _addresses(state) is not None:
+        # eager_next's state vector, in _scan.c's order: j = n, stop,
+        # visited = 0, width = 1, row = -1 (no block yet), rows, passes,
+        # last_pass, cap, resume, kept, position, candidate, scored, budget
+        return _eager_compiled(state, np.array(
+            [n, 0, 0, 1, -1, 0, state.iterations, last_pass, cap, resume, 0, 0, 0, 0,
+             EAGER_DISTANCES], dtype=np.intp))
     current = state.ams_sum
     j = n  # at the end of a pass: the first pass checks the budget too
     visited = 0  # positions visited since the last swap (or start)
@@ -385,3 +457,36 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
         width = resume
         visited = 1
         j = int(J[h]) + 1
+
+
+def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
+    """_fastermsc_state's loop as eager_next of _scan.c, which resumes from
+    the state vector machine and scores its blocks with the C block_totals.
+    It returns here with a candidate whose total exceeds EPS_GAIN, which
+    _swap_if_sum_rises keeps or undoes with the fresh sum; with a block of
+    one candidate, which candidate_totals scores; after EAGER_DISTANCES
+    distances, so that an interrupt is seen; and at the end of the run."""
+    n, k, cap = len(state.matrix), state.k, int(machine[CAP])
+    J = np.empty(2 * cap, dtype=np.intp)
+    out = np.empty(cap * (k + 1) + k)
+    buffers = machine.ctypes.data, J.ctypes.data, out.ctypes.data
+    current = state.ams_sum
+    while True:
+        scan, _, _, is_medoid = _addresses(state)
+        code = _kernel.eager_next(n, k, EPS_GAIN, *scan, is_medoid, *buffers)
+        state.iterations = int(machine[PASSES])
+        if code in (CONVERGED, OUT_OF_PASSES):
+            return code == CONVERGED
+        if code == ONE_CANDIDATE:
+            pos, totals = _best_positions(state, J[:1])
+            if not totals[0] > EPS_GAIN:
+                continue
+            position = pos[0]
+        elif code == IMPROVES:
+            position = machine[POSITION]
+        else:  # PAUSED
+            continue
+        after = _swap_if_sum_rises(state, int(position), int(machine[CANDIDATE]), current)
+        if after is not None:
+            current = after
+            machine[KEPT] = 1

@@ -149,10 +149,12 @@ def reference_eager(state, max_iter):
 def block_eager(state, max_iter, monkeypatch):
     """The package's eager search, recording each swap it keeps, how
     many candidates it scores after the last one, and each swap it
-    undoes."""
+    undoes. The compiled loop counts the rows it scores in its state
+    vector; the rows that Python scores pass through block_totals."""
     made, undone = [], []
     tail = [0]
-    try_swap, block_totals = fm._swap_if_sum_rises, fm.block_totals
+    machines, scored_at_swap = [], [0]
+    try_swap, block_totals, compiled = fm._swap_if_sum_rises, fm.block_totals, fm._eager_compiled
 
     def recording_swap(state, position, replacement, before):
         after = try_swap(state, position, replacement, before)
@@ -161,6 +163,7 @@ def block_eager(state, max_iter, monkeypatch):
         else:
             made.append((position, replacement))
             tail[0] = 0
+            scored_at_swap[0] = machines[0][fm.SCORED] if machines else 0
         return after
 
     def counting_totals(state, J):
@@ -168,10 +171,18 @@ def block_eager(state, max_iter, monkeypatch):
         tail[0] += len(J)
         return block_totals(state, J)
 
+    def kept_machine(state, machine):
+        assert machine[fm.CAP] * len(state.matrix) <= max(core.SCAN_BUDGET, len(state.matrix))
+        machines.append(machine)
+        return compiled(state, machine)
+
     with monkeypatch.context() as mp:
         mp.setattr(fm, "_swap_if_sum_rises", recording_swap)
         mp.setattr(fm, "block_totals", counting_totals)
+        mp.setattr(fm, "_eager_compiled", kept_machine)
         converged = fm._fastermsc_state(state, max_iter)
+    if machines:
+        tail[0] += machines[0][fm.SCORED] - scored_at_swap[0]
     return converged, made, tail[0], undone
 
 
