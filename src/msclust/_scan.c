@@ -1,6 +1,7 @@
 /* The swap-candidate scan of msclust.fastmsc, in C: block_totals, the
    neighbour rescan of fastmsc._rescan, and eager_next, the block loop of
-   fastmsc._fastermsc_state.
+   fastmsc._fastermsc_state; and parse_csv, the strict CSV reader of
+   core._parse_csv_rows.
 
    Each does the float64 operations of the numpy body in the same order, so
    it returns the same bits: each candidate row's near points (d(o, j) <
@@ -12,6 +13,8 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define TINY 0x1p-1074 /* the smallest positive float64 */
 
@@ -205,4 +208,112 @@ ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
     st[ROW] = row;
     st[ROWS] = m;
     return code;
+}
+
+/* The longest token parse_csv copies for strtod, its NUL excluded. */
+#define TOKEN_MAX 63
+
+static int blank(char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+static const char *digits(const char *p, const char *stop)
+{
+    while (p < stop && *p >= '0' && *p <= '9')
+        p++;
+    return p;
+}
+
+/* The end of the number [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? at p, or NULL. */
+static const char *number(const char *p, const char *stop)
+{
+    if (p < stop && (*p == '+' || *p == '-'))
+        p++;
+    const char *q = digits(p, stop);
+    ptrdiff_t whole = q - p;
+    if (q < stop && *q == '.') {
+        const char *f = q + 1;
+        q = digits(f, stop);
+        if (whole == 0 && q == f)
+            return NULL;
+    } else if (whole == 0) {
+        return NULL;
+    }
+    if (q < stop && (*q == 'e' || *q == 'E')) {
+        p = q + 1;
+        if (p < stop && (*p == '+' || *p == '-'))
+            p++;
+        q = digits(p, stop);
+        if (q == p)
+            return NULL;
+    }
+    return q;
+}
+
+/* Reads the size bytes at text as rows of comma-separated numbers: an
+   optional UTF-8 byte-order mark, lines that end in \n or \r\n (the last
+   may lack it), lines of spaces and tabs skipped, and each token a number
+   (see number) of at most TOKEN_MAX bytes between spaces and tabs; every row
+   has the same count of tokens, and there is at least one row. With out
+   NULL it writes (rows, cols) to shape; otherwise shape holds them and the
+   rows x cols values go to out, each by strtod from a NUL-terminated copy,
+   so strtod never reads past size. Returns 0, or -1 where the text leaves
+   that grammar, its shape differs from shape's (the file changed between
+   the passes), or strtod stops elsewhere than the token's end (a locale
+   whose decimal point is not '.'). */
+ptrdiff_t parse_csv(const char *text, ptrdiff_t size, ptrdiff_t *shape, double *out)
+{
+    const char *p = text, *end = text + size;
+    ptrdiff_t rows = 0, cols = out ? shape[1] : -1;
+    char token[TOKEN_MAX + 1];
+    if (size >= 3 && memcmp(p, "\xef\xbb\xbf", 3) == 0)
+        p += 3;
+    while (p < end) {
+        const char *eol = memchr(p, '\n', (size_t)(end - p));
+        const char *stop = eol ? eol : end, *q = p;
+        if (eol && stop > p && stop[-1] == '\r')
+            stop--;
+        p = eol ? eol + 1 : end;
+        while (q < stop && blank(*q))
+            q++;
+        if (q == stop)
+            continue;
+        if (out && rows == shape[0])
+            return -1;
+        ptrdiff_t c = 0;
+        for (;;) {
+            while (q < stop && blank(*q))
+                q++;
+            const char *t = q;
+            q = number(q, stop);
+            if (q == NULL || q - t > TOKEN_MAX || (out && c == cols))
+                return -1;
+            if (out) {
+                char *parsed;
+                memcpy(token, t, (size_t)(q - t));
+                token[q - t] = '\0';
+                out[rows * cols + c] = strtod(token, &parsed);
+                if (parsed != token + (q - t))
+                    return -1;
+            }
+            c++;
+            while (q < stop && blank(*q))
+                q++;
+            if (q == stop)
+                break;
+            if (*q++ != ',')
+                return -1;
+        }
+        if (cols < 0)
+            cols = c;
+        if (c != cols)
+            return -1;
+        rows++;
+    }
+    if (rows == 0 || (out && rows != shape[0]))
+        return -1;
+    shape[0] = rows;
+    shape[1] = cols;
+    return 0;
 }

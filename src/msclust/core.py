@@ -14,11 +14,14 @@ Loops over the rows of an n x n array (the distance kernel in
 temporary holds at most SCAN_BUDGET distances whatever n is. The
 package needs numpy only; where a C compiler is at hand, ``fastmsc``
 builds its scan kernel from ``_scan.c`` on first use (``msclust.cscan``),
-with the same results.
+with the same results, and the CSV loaders read a strict file with the
+kernel's ``parse_csv``, with ``float()``'s values.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,8 +320,17 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _parse_csv_rows(path: str) -> list[list[float]]:
-    rows: list[list[float]] = []
+def _parse_csv_rows(path: str) -> np.ndarray:
+    """The rows of a CSV file of numbers, as a 2-D float64 array.
+
+    A regular file that parse_csv of _scan.c accepts (only numbers of the
+    form [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? between commas, spaces and tabs,
+    on rows of one length) is read there. Every other file, and every file
+    where the kernel did not load, is read token by token with float(),
+    which gives the same values and is the only path that raises: a header
+    is skipped, and a bad row is reported by its number. The file is
+    opened once, and only the path that parses it reads it.
+    """
     if not (isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")):
         raise InputError(f"path must be a file name, got {path!r}")  # open takes an int as an fd
     try:
@@ -326,6 +338,10 @@ def _parse_csv_rows(path: str) -> list[list[float]]:
     except ValueError as exc:  # a NUL in the path, or a str that has no bytes form
         raise InputError(f"path cannot name a file: {exc}") from None
     with fh:
+        parsed = _compiled_rows(fh.fileno())
+        if parsed is not None:
+            return parsed
+        rows: list[list[float]] = []
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -346,12 +362,42 @@ def _parse_csv_rows(path: str) -> list[list[float]]:
             rows.append(row)
     if not rows:
         raise InputError("no data rows found")
+    return np.asarray(rows, dtype=float)
+
+
+def _compiled_rows(fd: int) -> np.ndarray | None:
+    """The rows of the file open at fd by parse_csv, through a read-only map
+    of the file, which leaves fd's offset alone: one pass for the shape,
+    one to fill the array. None where the kernel did not load, the file is
+    not a non-empty regular file (a FIFO cannot be mapped, and its bytes
+    must stay for the caller) or parse_csv declines it."""
+    import mmap
+
+    from .fastmsc import loaded_kernel  # here: fastmsc imports this module
+
+    info = os.fstat(fd)
+    kernel = loaded_kernel() if stat.S_ISREG(info.st_mode) and info.st_size else None
+    if kernel is None:
+        return None
+    try:
+        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # a file system that cannot map, or a file emptied since
+        return None
+    with mapped:
+        text = np.frombuffer(mapped, np.uint8)
+        shape, rows = np.zeros(2, np.intp), None
+        if kernel.parse_csv(text.ctypes.data, len(text), shape.ctypes.data, None) == 0:
+            rows = np.empty(tuple(shape))
+            if kernel.parse_csv(text.ctypes.data, len(text), shape.ctypes.data,
+                                rows.ctypes.data) != 0:
+                rows = None
+        del text  # the map closes only once no array views it
     return rows
 
 
 def load_points_csv(path: str) -> np.ndarray:
     """Points CSV: one vector per row, optional header."""
-    return np.asarray(_parse_csv_rows(path), dtype=float)
+    return _parse_csv_rows(path)
 
 
 def load_matrix_csv(path: str) -> np.ndarray:

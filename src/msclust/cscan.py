@@ -1,5 +1,5 @@
-"""The compiled form of fastmsc's scan: _scan.c, built by the system C
-compiler on first use and loaded with ctypes.
+"""The compiled form of fastmsc's scan and of core's CSV reader: _scan.c,
+built by the system C compiler on first use and loaded with ctypes.
 
 ``load`` compiles the source once into the package's ``__pycache__``,
 under a name keyed by the SHA-256 of the source and the flags, so a
@@ -8,7 +8,8 @@ compiler writes a temporary file that ``os.replace`` moves into place,
 so processes that build at the same time cannot tear the library. A
 cached library that does not load is built once more. Any other failure
 (no ``cc``, an unwritable cache, a compile error or timeout, a library
-that does not load) gives None, and fastmsc scores with numpy.
+that does not load) gives None: fastmsc scores with numpy, and core
+reads every CSV token by token.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ COMPILE_SECONDS = 30.0
 
 def load():
     """The C function block_totals(n, m, k, J, n1, n2, matrix, d1, d2, d3,
-    r12, r13, r23, removal_loss, out), with the library's rescan and
-    eager_next as its attributes, or None if it cannot be built or loaded.
-    Every array argument is the address of a C-ordered array; _scan.c
-    gives their types."""
+    r12, r13, r23, removal_loss, out), with the library's rescan,
+    eager_next and parse_csv as its attributes, or None if it cannot be
+    built or loaded. Every array argument is the address of a C-ordered
+    array; _scan.c gives their types."""
     try:
         source = SOURCE.read_bytes()
         key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
@@ -52,6 +53,7 @@ def load():
             _build(path)
             library = ctypes.CDLL(str(path))
         kernel, rescan, eager_next = library.block_totals, library.rescan, library.eager_next
+        parse_csv = library.parse_csv
     except (OSError, AttributeError):
         return None
     ssize, address = ctypes.c_ssize_t, ctypes.c_void_p
@@ -61,7 +63,9 @@ def load():
     rescan.argtypes = [ssize] * 3 + [address] * 13
     eager_next.restype = ssize
     eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 14
-    kernel.rescan, kernel.eager_next = rescan, eager_next
+    parse_csv.restype = ssize
+    parse_csv.argtypes = [address, ssize, address, address]
+    kernel.rescan, kernel.eager_next, kernel.parse_csv = rescan, eager_next, parse_csv
     return kernel
 
 

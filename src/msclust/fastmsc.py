@@ -91,10 +91,20 @@ EAGER_DISTANCES = 2**22
 PASSES, CAP, KEPT, POSITION, CANDIDATE, SCORED = 6, 8, 10, 11, 12, 13
 CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED = range(5)
 
-# block_totals' compiled kernel: False until the first _addresses call loads
-# it, then the C function with rescan and eager_next as its attributes, or
-# None (it could not be built or loaded): numpy scores
+# block_totals' compiled kernel: False until the first loaded_kernel call
+# loads it, then the C function with rescan, eager_next and parse_csv as its
+# attributes, or None (it could not be built or loaded): numpy scores, and
+# core reads CSV token by token
 _kernel = False
+
+
+def loaded_kernel():
+    """The compiled kernel, loaded on the first call, or None."""
+    global _kernel
+    if _kernel is False:
+        from . import cscan  # here: its build tools stay out of the CLI's import
+        _kernel = cscan.load()
+    return _kernel
 
 
 @dataclass(frozen=True)
@@ -225,11 +235,7 @@ def _addresses(state: OptimizerState) -> tuple | None:
     replaced (make_state, the numpy _rescan and remove_medoid do that), and
     a stale address never reaches C.
     """
-    global _kernel
-    if _kernel is False:
-        from . import cscan  # here: its build tools stay out of the CLI's import
-        _kernel = cscan.load()
-    if _kernel is None:
+    if loaded_kernel() is None:
         return None
     c = state.cache
     arrays = (c.n1, c.n2, state.matrix, c.d1, c.d2, c.d3, state.r12, state.r13, state.r23,

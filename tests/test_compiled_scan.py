@@ -94,18 +94,30 @@ def fields(result):
             result.iterations, result.converged)
 
 
-def test_nothing_is_loaded_at_import():
-    # a run that loads a cached kernel imports none of the build tools
+def test_nothing_is_loaded_at_import(tmp_path):
+    # a run that loads a cached kernel imports none of the build tools, and
+    # the CSV loader and the scan share one load of the library
     cached = cscan.load() is not None
-    code = ("import sys, msclust.cli\n"
+    path = tmp_path / "matrix.csv"
+    path.write_text("0,1,5\n1,0,4\n5,4,0\n")
+    code = ("import ctypes, sys, msclust.cli\n"
             "fm = sys.modules['msclust.fastmsc']\n"
             "assert fm._kernel is False and 'msclust.cscan' not in sys.modules\n"
             "if sys.argv[1] == 'True':\n"
-            "    from msclust import build_matrix, fastermsc\n"
-            "    fastermsc(build_matrix([[0.0], [1.0], [5.0], [6.0]]), [0, 1])\n"
-            "    assert fm._kernel is not None and 'subprocess' not in sys.modules\n")
+            "    loads = []\n"
+            "    class CDLL(ctypes.CDLL):\n"
+            "        def __init__(self, name, *args, **kwargs):\n"
+            "            loads.append(name)\n"
+            "            super().__init__(name, *args, **kwargs)\n"
+            "    ctypes.CDLL = CDLL\n"
+            "    from msclust import fastermsc\n"
+            "    from msclust.core import load_matrix_csv\n"
+            "    matrix = load_matrix_csv(sys.argv[2])\n"
+            "    assert fm._kernel is not None and 'subprocess' not in sys.modules\n"
+            "    fastermsc(matrix, [0, 1])\n"
+            "    assert len(loads) == 1 and 'subprocess' not in sys.modules, loads\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cscan.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", code, str(cached)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, str(cached), str(path)], env=env, check=True)
 
 
 # a stand-in for cc: finds its -o argument, then does what the case needs
@@ -150,11 +162,15 @@ def test_a_kernel_that_cannot_load_leaves_the_numpy_scan(failure, tmp_path, monk
     matrix = uniform_instance(40, seed=8)
     state = make_state(matrix, init_random(40, 4, seed=8))
     J = np.flatnonzero(~state.is_medoid)
+    csv = tmp_path / "matrix.csv"
+    csv.write_text("\n".join(",".join(map(repr, row)) for row in matrix.tolist()))
     monkeypatch.setattr(fm, "_kernel", None)
     numpy_runs = optimizer_runs(matrix, 4, 8)
     monkeypatch.setattr(fm, "_kernel", False)
 
+    # the CSV loader makes the first load attempt, and reads token by token
     started = time.monotonic()
+    assert core.load_matrix_csv(csv).tobytes() == matrix.tobytes()
     got = fm.block_totals(state, J)
     assert time.monotonic() - started < 20
     assert fm._kernel is None
