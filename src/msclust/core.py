@@ -52,7 +52,7 @@ class InputError(ValueError):
     """Malformed input: a bad file row, bad points, labels or metric."""
 
 
-def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def safe_ratio_arr(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise a / max(b, TINY): a / b where b > 0 (bit for bit, as no
     positive float64 is below TINY), else a.
 
@@ -60,9 +60,10 @@ def safe_ratio_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     holds, so b == 0 forces a == 0: a point with zero distance to two
     medoids has a perfect silhouette. Only a -0.0 matrix entry can make the
     result -0.0 rather than 0. b may be +inf (the d3 sentinel for k == 2),
-    and the ratio is 0 then. Both are float64 arrays.
+    and the ratio is 0 then. Both are float64 arrays; the result is
+    written into out where it is given.
     """
-    return np.divide(a, np.maximum(b, TINY))
+    return np.divide(a, np.maximum(b, TINY), out=out)
 
 
 def block_rows(n: int) -> int:

@@ -36,14 +36,18 @@ def remove_medoid(state: OptimizerState, position: int) -> None:
     Points with the removed medoid within their d3 are rescanned (at
     k == 3 every point, so top3 sets d3 = inf for k == 2); the rest just
     remap their cached positions; the rescan rebuilds the removal losses.
-    Requires k >= 3 so the result still has two medoids.
+    The later medoids shift left in their buffer, and medoids and
+    removal_loss become prefix views one shorter, so no array leaves the
+    address make_state took. Requires k >= 3 so two medoids remain.
     """
     if state.k < 3:
         raise MedoidError("cannot remove a medoid below k = 2")
     c = state.cache
     need = state.matrix[state.medoids[position]] <= c.d3
     state.is_medoid[state.medoids[position]] = False
-    state.medoids = np.delete(state.medoids, position)
+    state.medoids[position:-1] = state.medoids[position + 1:]
+    state.medoids = state.medoids[:-1]
+    state.removal_loss = state.removal_loss[:-1]
     c.n1 -= c.n1 > position
     c.n2 -= c.n2 > position
     _rescan(state, need.nonzero()[0])

@@ -4,14 +4,14 @@ The key pieces:
 
 * ``OptimizerState``: the medoids, the ``is_medoid`` mask that both scans
   read and every swap or removal updates, and the neighbor cache, on a
-  matrix that the public caller has passed through ``check_matrix``. Every
-  ``_rescan`` (after a swap or a removal) ends in ``_refresh_derived``,
-  which alone derives the removal losses (the change in the silhouette
-  sum if a medoid were deleted), or in the C ``rescan`` of ``_scan.c``,
-  which derives them in place with the same bits. ``ams_sum`` sums
-  1 - r12, which is ``medoid_widths`` over the cache, as
-  ``silhouette.medoid_result`` does. The state keeps the addresses of its
-  arrays for the C functions (``_addresses``).
+  matrix that the public caller has passed through ``check_matrix``.
+  ``make_state`` alone allocates its arrays, and every later operation
+  writes them in place. Every ``_rescan`` (after a swap or a removal) ends
+  in ``_refresh_derived``, which alone derives the removal losses (the
+  change in the silhouette sum if a medoid were deleted), or in the C
+  ``rescan`` of ``_scan.c``, which derives them with the same bits.
+  ``ams_sum`` sums 1 - r12, which is ``medoid_widths`` over the cache, as
+  ``silhouette.medoid_result`` does.
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
@@ -61,7 +61,6 @@ they sum is ``msclust.oracle.swap_delta``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,16 +122,16 @@ class OptimizerState:
     medoids: np.ndarray
     is_medoid: np.ndarray  # is_medoid[o] iff o is in medoids
     cache: NeighborCache
-    swaps: int = 0
-    iterations: int = 0
     # derived from the cache: per-medoid removal losses, and per-point ratio
     # vectors shared by every candidate scan of an iteration
-    removal_loss: np.ndarray = field(default=None, repr=False)
-    r12: np.ndarray = field(default=None, repr=False)
-    r13: np.ndarray = field(default=None, repr=False)
-    r23: np.ndarray = field(default=None, repr=False)
-    # (arrays, addresses) of the last _addresses call; see there
-    addresses: tuple = field(default=None, repr=False)
+    removal_loss: np.ndarray = field(repr=False)
+    r12: np.ndarray = field(repr=False)
+    r13: np.ndarray = field(repr=False)
+    r23: np.ndarray = field(repr=False)
+    work: np.ndarray = field(repr=False)  # k doubles for the C rescan
+    addresses: tuple | None = field(repr=False)  # see make_state
+    swaps: int = 0
+    iterations: int = 0
 
     @property
     def k(self) -> int:
@@ -146,29 +145,41 @@ class OptimizerState:
 
 
 def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
-    """Build a consistent OptimizerState on a matrix check_matrix has passed."""
+    """Build a consistent OptimizerState on a matrix check_matrix has passed.
+
+    Only here are the state's arrays allocated, C-ordered in the dtypes
+    that _scan.c reads; every later operation writes them in place. So
+    the C functions' address table is taken once: (n1, n2, matrix, d1, d2,
+    d3, r12, r13, r23 and removal_loss in block_totals' order; medoids;
+    work; is_medoid), or None for a matrix that is not C-ordered float64
+    (a Fortran-ordered or strided view), which numpy then scores.
+    """
     medoids = check_medoids(medoids, len(matrix))
-    is_medoid = np.zeros(len(matrix), dtype=bool)
+    n, k = len(matrix), len(medoids)
+    is_medoid = np.zeros(n, dtype=bool)
     is_medoid[medoids] = True
-    state = OptimizerState(
-        matrix=matrix,
-        medoids=medoids,
-        is_medoid=is_medoid,
-        cache=nearest_three_all(matrix, medoids),
-    )
+    c = nearest_three_all(matrix, medoids)
+    removal_loss, work = np.empty(k), np.empty(k)
+    r12, r13, r23 = np.empty(n), np.empty(n), np.empty(n)
+    addresses = None
+    if matrix.dtype == np.float64 and matrix.flags.c_contiguous:
+        scan = (c.n1, c.n2, matrix, c.d1, c.d2, c.d3, r12, r13, r23, removal_loss)
+        addresses = (tuple(a.ctypes.data for a in scan), medoids.ctypes.data, work.ctypes.data,
+                     is_medoid.ctypes.data)
+    state = OptimizerState(matrix, medoids, is_medoid, c, removal_loss, r12, r13, r23, work,
+                           addresses)
     _refresh_derived(state)
     return state
 
 
 def _refresh_derived(state: OptimizerState) -> None:
     c = state.cache
-    state.r12 = safe_ratio_arr(c.d1, c.d2)
-    state.r23 = safe_ratio_arr(c.d2, c.d3)
-    state.r13 = safe_ratio_arr(c.d1, c.d3)
-    state.removal_loss = np.bincount(c.n1, weights=state.r12 - state.r23,
-                                     minlength=state.k)
-    state.removal_loss += np.bincount(c.n2, weights=state.r12 - state.r13,
-                                      minlength=state.k)
+    safe_ratio_arr(c.d1, c.d2, out=state.r12)
+    safe_ratio_arr(c.d2, c.d3, out=state.r23)
+    safe_ratio_arr(c.d1, c.d3, out=state.r13)
+    np.add(np.bincount(c.n1, weights=state.r12 - state.r23, minlength=state.k),
+           np.bincount(c.n2, weights=state.r12 - state.r13, minlength=state.k),
+           out=state.removal_loss)
 
 
 def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +194,7 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     the far-far case, whose delta is zero.
 
     The C kernel of _scan.c returns the same bits. It runs when _addresses
-    has the state's arrays and J is a C-ordered intp array in range;
+    gives the state's table and J is a C-ordered intp vector in range;
     otherwise the numpy body below runs, which is also the reference that
     the tests hold it to.
     """
@@ -191,7 +202,7 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     c = state.cache
     n = len(state.matrix)
     m, k = len(J), state.k
-    if (addresses is not None and _kernel_reads([(J, (m,))], np.intp)
+    if (addresses is not None and _kernel_reads(J)
             and (m == 0 or 0 <= J.min() <= J.max() < n)):
         out = np.empty(m * k + m + k)
         _kernel(n, m, k, J.ctypes.data, *addresses[0], out.ctypes.data)
@@ -224,46 +235,16 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _addresses(state: OptimizerState) -> tuple | None:
-    """The addresses that the C functions of _scan.c read for this state:
-    (n1, n2, matrix, d1, d2, d3, r12, r13, r23 and removal_loss in
-    block_totals' order; medoids; a work array of k doubles; is_medoid).
-
-    None where the kernel did not load, or where an array lacks the dtype,
-    shape, C layout or writability that C needs (a Fortran-ordered matrix,
-    say): numpy runs then. The state keeps its arrays with their addresses
-    and checks them by identity, so the checks run only after an array is
-    replaced (make_state, the numpy _rescan and remove_medoid do that), and
-    a stale address never reaches C.
-    """
-    if loaded_kernel() is None:
-        return None
-    c = state.cache
-    arrays = (c.n1, c.n2, state.matrix, c.d1, c.d2, c.d3, state.r12, state.r13, state.r23,
-              state.removal_loss, state.medoids, state.is_medoid)
-    kept = state.addresses
-    if kept is not None and all(map(operator.is_, arrays, kept[0])):
-        return kept[1]
-    n, k = len(state.matrix), state.k
-    addresses = None
-    if (_kernel_reads([(c.n1, (n,)), (c.n2, (n,)), (state.medoids, (k,))], np.intp)
-            and _kernel_reads([(state.matrix, (n, n))] + [(a, (n,)) for a in arrays[3:9]]
-                              + [(state.removal_loss, (k,))], np.float64)
-            and _kernel_reads([(state.is_medoid, (n,))], np.bool_)
-            and all(a.flags.writeable for a in arrays if a is not state.matrix)):
-        work = np.empty(k)
-        addresses = (tuple(a.ctypes.data for a in arrays[:10]), state.medoids.ctypes.data,
-                     work.ctypes.data, state.is_medoid.ctypes.data)
-        arrays += (work,)  # kept alive with the state
-    state.addresses = (arrays, addresses)
-    return addresses
+    """The table of addresses that make_state took for the C functions of
+    _scan.c, which stays valid as every array is written in place; None
+    where the kernel did not load or the matrix is not C-ordered float64:
+    numpy runs then."""
+    return None if loaded_kernel() is None else state.addresses
 
 
-def _kernel_reads(arrays, dtype) -> bool:
-    """Whether every (array, shape) has that shape and dtype and the C
-    layout, as the C kernel reads it. The cache's n1 and n2, which index
-    its bins, are in [0, k) by construction."""
-    return all(a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
-               for a, shape in arrays)
+def _kernel_reads(a: np.ndarray) -> bool:
+    """Whether a is a C-ordered intp vector, as C reads J and idx."""
+    return a.dtype == np.intp and a.ndim == 1 and a.flags.c_contiguous
 
 
 def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
@@ -342,12 +323,10 @@ def _swap_if_sum_rises(state: OptimizerState, position: int, replacement: int,
 
 def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
     """Recompute the neighbor records of the points in idx, then what is
-    derived from the cache: in place by rescan of _scan.c where
-    _addresses has the state's arrays, else with numpy, in the same bits."""
-    if state.removal_loss.shape != (state.k,):  # remove_medoid shrank k
-        state.removal_loss = np.empty(state.k)
+    derived from the cache: by rescan of _scan.c where _addresses gives
+    the state's table, else with numpy, in place and in the same bits."""
     addresses = _addresses(state)
-    if addresses is not None and _kernel_reads([(idx, (len(idx),))], np.intp):
+    if addresses is not None and _kernel_reads(idx):
         scan, medoids, work, _ = addresses
         if _kernel.rescan(len(state.matrix), state.k, len(idx), idx.ctypes.data, *scan,
                           medoids, work) == 0:
@@ -419,7 +398,7 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     The resume width trades a block's fixed cost of some 40 numpy calls
     against the rows scored past the next swap, which are wasted.
 
-    Where _addresses has the state's arrays, _eager_compiled runs this
+    Where _addresses gives the state's table, _eager_compiled runs this
     loop in C, with the same blocks; the loop below is its fallback and
     its reference.
     """
@@ -476,9 +455,9 @@ def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
     J = np.empty(2 * cap, dtype=np.intp)
     out = np.empty(cap * (k + 1) + k)
     buffers = machine.ctypes.data, J.ctypes.data, out.ctypes.data
+    scan, _, _, is_medoid = state.addresses
     current = state.ams_sum
     while True:
-        scan, _, _, is_medoid = _addresses(state)
         code = _kernel.eager_next(n, k, EPS_GAIN, *scan, is_medoid, *buffers)
         state.iterations = int(machine[PASSES])
         if code in (CONVERGED, OUT_OF_PASSES):

@@ -188,20 +188,30 @@ def test_a_kernel_that_cannot_load_leaves_the_numpy_scan(failure, tmp_path, monk
     assert_no_child_left()
 
 
-def test_a_fortran_ordered_matrix_is_scored_with_numpy(monkeypatch):
+def strided(matrix):
+    """matrix as the top-left corner of a larger one: a view whose rows are
+    not adjacent."""
+    n = len(matrix)
+    big = np.zeros((n + 10, n + 10))
+    big[:n, :n] = matrix
+    return big[:n, :n]
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, strided], ids=["fortran", "strided"])
+def test_a_fortran_ordered_matrix_is_scored_with_numpy(monkeypatch, layout):
     matrix = uniform_instance(50, seed=3)
     m0 = init_random(50, 4, seed=3)
-    state = make_state(np.asfortranarray(matrix), m0)
+    state = make_state(layout(matrix), m0)
     J = np.flatnonzero(~state.is_medoid)
 
     def refuse(*args):
-        raise AssertionError("the kernel was given a Fortran-ordered matrix")
+        raise AssertionError("the kernel was given a matrix it cannot read")
 
     refuse.rescan = refuse.eager_next = refuse
     monkeypatch.setattr(fm, "_kernel", refuse)
     for a, b in zip(fm.block_totals(state, J), reference_block_totals(state, J)):
         assert_same_bits(a, b)
-    fortran = optimizer_runs(np.asfortranarray(matrix), 4, 3)
+    fortran = optimizer_runs(layout(matrix), 4, 3)
     monkeypatch.setattr(fm, "_kernel", None)
     assert fortran == optimizer_runs(matrix, 4, 3)
     assert_no_child_left()
@@ -310,6 +320,62 @@ def test_the_c_rescan_gives_the_numpy_bits(kernel, inputs, data):
         bits.append((swapped, state_bits(state)))
     assert bits[0] == bits[1]
     assert calls["rescan"] == 4 + (k > 2)
+
+
+def assert_table_is_live(state):
+    """Each entry of the state's address table is the address that the
+    array it stands for has now."""
+    c = state.cache
+    scan = (c.n1, c.n2, state.matrix, c.d1, c.d2, c.d3, state.r12, state.r13, state.r23,
+            state.removal_loss)
+    assert state.addresses == (tuple(a.ctypes.data for a in scan), state.medoids.ctypes.data,
+                               state.work.ctypes.data, state.is_medoid.ctypes.data)
+
+
+def checked(rescan):
+    """rescan, after asserting the table: a stale address fails here, before
+    C reads it."""
+    def wrapper(state, idx):
+        assert_table_is_live(state)
+        rescan(state, idx)
+    return wrapper
+
+
+@settings(deadline=None, max_examples=100)
+@given(eager_inputs(), st.booleans(), st.data())
+def test_the_address_table_stays_live(kernel, inputs, read_only, data):
+    # make_state takes the addresses once; a swap kept or undone, a full
+    # rescan, every removal down to k = 2 and the optimizers' runs must
+    # write the same buffers. A read-only matrix is still scored by C.
+    matrix, m0 = inputs
+    matrix.flags.writeable = not read_only
+    n, k = len(matrix), len(m0)
+    position = data.draw(st.integers(0, k - 1))
+    replacement = data.draw(st.sampled_from(sorted(set(range(n)) - set(m0.tolist()))))
+    drops = [data.draw(st.integers(0, j - 1)) for j in range(k, 2, -1)]
+    calls = collections.Counter()
+    for handle in (counting(kernel, calls), None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "_kernel", handle)
+            mp.setattr(fm, "_rescan", checked(fm._rescan))
+            mp.setattr(dynmsc_module, "_rescan", checked(dynmsc_module._rescan))
+            state = make_state(matrix, m0)
+            assert_table_is_live(state)
+            assert fm._swap_if_sum_rises(state, position, replacement, np.inf) is None
+            assert_table_is_live(state)
+            assert fm._swap_if_sum_rises(state, position, replacement, -np.inf) is not None
+            assert_table_is_live(state)
+            fm._rescan(state, np.arange(n))
+            assert_table_is_live(state)
+            for drop in drops:
+                dynmsc_module.remove_medoid(state, drop)
+                assert_table_is_live(state)
+            runs = []
+            mp.setattr(fm, "make_state", lambda *args: runs.append(make_state(*args)) or runs[-1])
+            fastmsc(matrix, m0, max_iter=3)
+            fm._fastermsc_state(runs[0], 3)
+            assert_table_is_live(runs[0])
+    assert calls["rescan"] > 0 and calls["block_totals"] > 0
 
 
 def test_the_eager_loop_returns_once_per_distance_budget(kernel, monkeypatch):

@@ -95,6 +95,34 @@ def test_a_file_of_tokens_parses_to_floats_bits(kernel, tmp_path_factory, words,
     assert outcome(path, kernel) == (want.dtype, want.shape, want.tobytes())
 
 
+# what the fuzz below inserts or writes over: the CSV alphabet, a BOM's
+# bytes and \r
+FUZZ_BYTES = b"0123456789+-.eE, \t\n\r\xef\xbb\xbf"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(tokens(), min_size=1, max_size=12), st.integers(1, 3),
+       st.sampled_from(["\n", "\r\n"]),
+       st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                          st.integers(0, 2**16), st.sampled_from(FUZZ_BYTES)),
+                min_size=1, max_size=3))
+def test_a_mutated_file_gives_the_per_token_outcome(kernel, tmp_path_factory, words, cols,
+                                                    eol, edits):
+    words += ["0"] * (-len(words) % cols)
+    data = bytearray(eol.join(",".join(words[i:i + cols])
+                              for i in range(0, len(words), cols)).encode() + eol.encode())
+    for edit, at, byte in edits:
+        if edit == "insert":
+            data.insert(at % (len(data) + 1), byte)
+        elif data and edit == "delete":
+            del data[at % len(data)]
+        elif data:
+            data[at % len(data)] = byte
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(bytes(data))
+    assert outcome(path, kernel) == outcome(path, None)
+
+
 ROW_300 = b"1,2\n" * 299 + b"1,\xff\n" + b"3,4\n"
 
 # name: (the file's bytes, whether parse_csv reads it)
@@ -122,6 +150,8 @@ CATALOGUE = {
     "signs-and-forms": (b" -1 ,\t+.5e-3\t, 5. ,0E-0\n", True),
     "exponent-without-digits": (b"1e,2\n", False),
     "long-token": (b"1." + b"0" * 70 + b",2\n", False),
+    "longest-token": (b"1." + b"0" * 61 + b",2\n", True),
+    "token-one-byte-too-long": (b"1." + b"0" * 62 + b",2\n", False),
     "empty": (b"", False),
     "only-blank-lines": (b"\n \n\t\r\n", False),
     "invalid-utf8-on-row-300": (ROW_300, False),
