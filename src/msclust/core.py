@@ -12,10 +12,12 @@ Loops over the rows of an n x n array (the distance kernel in
 ``build_matrix``, BUILD in ``init_build`` and the swap scan in
 ``fastmsc``) work on blocks of ``block_rows(n)`` rows, so each
 temporary holds at most SCAN_BUDGET distances whatever n is. The
-package needs numpy only; where a C compiler is at hand, ``fastmsc``
-builds its scan kernel from ``_scan.c`` on first use (``msclust.cscan``),
-with the same results, and the CSV loaders read a strict file with the
-kernel's ``parse_csv``, with ``float()``'s values.
+package needs numpy only; where a C compiler is at hand, ``compiled``
+builds and loads the library of ``_scan.c`` on its first call
+(``msclust.cscan``). The scan of ``fastmsc`` then gives the same results
+in C, on every state that ``make_state`` made while the library was
+loaded, and the CSV loaders read a strict file with its ``parse_csv``,
+with ``float()``'s values.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ EPS_GAIN = 1e-12
 DEFAULT_MAX_ITER = 1000
 
 TINY = np.finfo(float).smallest_subnormal  # the smallest positive float64
+
+# the library of _scan.c: False until the first compiled() call loads it,
+# then the ctypes.CDLL, or None (it could not be built or loaded)
+_library = False
 
 
 class MatrixError(ValueError):
@@ -64,6 +70,16 @@ def safe_ratio_arr(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
     written into out where it is given.
     """
     return np.divide(a, np.maximum(b, TINY), out=out)
+
+
+def compiled():
+    """The library of _scan.c, loaded on the first call, or None: numpy
+    scores, and every CSV file is read token by token."""
+    global _library
+    if _library is False:
+        from . import cscan  # here: its build tools stay out of the CLI's import
+        _library = cscan.load()
+    return _library
 
 
 def block_rows(n: int) -> int:
@@ -327,7 +343,7 @@ def _parse_csv_rows(path: str) -> np.ndarray:
     A regular file that parse_csv of _scan.c accepts (only numbers of the
     form [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? between commas, spaces and tabs,
     on rows of one length) is read there. Every other file, and every file
-    where the kernel did not load, is read token by token with float(),
+    where the library did not load, is read token by token with float(),
     which gives the same values and is the only path that raises: a header
     is skipped, and a bad row is reported by its number. The file is
     opened once, and only the path that parses it reads it.
@@ -369,16 +385,14 @@ def _parse_csv_rows(path: str) -> np.ndarray:
 def _compiled_rows(fd: int) -> np.ndarray | None:
     """The rows of the file open at fd by parse_csv, through a read-only map
     of the file, which leaves fd's offset alone: one pass for the shape,
-    one to fill the array. None where the kernel did not load, the file is
-    not a non-empty regular file (a FIFO cannot be mapped, and its bytes
+    one to fill the array. None where the library did not load, the file
+    is not a non-empty regular file (a FIFO cannot be mapped, and its bytes
     must stay for the caller) or parse_csv declines it."""
     import mmap
 
-    from .fastmsc import loaded_kernel  # here: fastmsc imports this module
-
     info = os.fstat(fd)
-    kernel = loaded_kernel() if stat.S_ISREG(info.st_mode) and info.st_size else None
-    if kernel is None:
+    library = compiled() if stat.S_ISREG(info.st_mode) and info.st_size else None
+    if library is None:
         return None
     try:
         mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
@@ -387,9 +401,9 @@ def _compiled_rows(fd: int) -> np.ndarray | None:
     with mapped:
         text = np.frombuffer(mapped, np.uint8)
         shape, rows = np.zeros(2, np.intp), None
-        if kernel.parse_csv(text.ctypes.data, len(text), shape.ctypes.data, None) == 0:
+        if library.parse_csv(text.ctypes.data, len(text), shape.ctypes.data, None) == 0:
             rows = np.empty(tuple(shape))
-            if kernel.parse_csv(text.ctypes.data, len(text), shape.ctypes.data,
+            if library.parse_csv(text.ctypes.data, len(text), shape.ctypes.data,
                                 rows.ctypes.data) != 0:
                 rows = None
         del text  # the map closes only once no array views it

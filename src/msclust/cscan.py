@@ -9,7 +9,9 @@ so processes that build at the same time cannot tear the library. A
 cached library that does not load is built once more. Any other failure
 (no ``cc``, an unwritable cache, a compile error or timeout, a library
 that does not load) gives None: fastmsc scores with numpy, and core
-reads every CSV token by token.
+reads every CSV token by token. ``core.compiled`` is the one owner of the
+loaded library: it calls ``load`` once per process, and ``make_state``
+asks it once per optimiser state.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ COMPILE_SECONDS = 30.0
 
 
 def load():
-    """The C function block_totals(n, m, k, J, n1, n2, matrix, d1, d2, d3,
-    r12, r13, r23, removal_loss, out), with the library's rescan,
-    eager_next and parse_csv as its attributes, or None if it cannot be
-    built or loaded. Every array argument is the address of a C-ordered
-    array; _scan.c gives their types."""
+    """The library as a ctypes.CDLL with its block_totals, rescan,
+    eager_next and parse_csv typed, or None if it cannot be built or
+    loaded. Every array argument is the address of a C-ordered array;
+    _scan.c gives their types."""
     try:
         source = SOURCE.read_bytes()
         key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
@@ -52,21 +53,18 @@ def load():
             path.unlink(missing_ok=True)
             _build(path)
             library = ctypes.CDLL(str(path))
-        kernel, rescan, eager_next = library.block_totals, library.rescan, library.eager_next
-        parse_csv = library.parse_csv
+        ssize, address = ctypes.c_ssize_t, ctypes.c_void_p
+        library.block_totals.restype = None
+        library.block_totals.argtypes = [ssize] * 3 + [address] * 12
+        library.rescan.restype = ssize
+        library.rescan.argtypes = [ssize] * 3 + [address] * 13
+        library.eager_next.restype = ssize
+        library.eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 14
+        library.parse_csv.restype = ssize
+        library.parse_csv.argtypes = [address, ssize, address, address]
     except (OSError, AttributeError):
         return None
-    ssize, address = ctypes.c_ssize_t, ctypes.c_void_p
-    kernel.restype = None
-    kernel.argtypes = [ssize] * 3 + [address] * 12
-    rescan.restype = ssize
-    rescan.argtypes = [ssize] * 3 + [address] * 13
-    eager_next.restype = ssize
-    eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 14
-    parse_csv.restype = ssize
-    parse_csv.argtypes = [address, ssize, address, address]
-    kernel.rescan, kernel.eager_next, kernel.parse_csv = rescan, eager_next, parse_csv
-    return kernel
+    return library
 
 
 def _build(path: Path) -> None:

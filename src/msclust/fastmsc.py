@@ -11,7 +11,9 @@ The key pieces:
   change in the silhouette sum if a medoid were deleted), or in the C
   ``rescan`` of ``_scan.c``, which derives them with the same bits.
   ``ams_sum`` sums 1 - r12, which is ``medoid_widths`` over the cache, as
-  ``silhouette.medoid_result`` does.
+  ``silhouette.medoid_result`` does. ``make_state`` also fixes which path
+  scores the state for its whole life: C where ``core.compiled`` gave the
+  library and the matrix is C-ordered float64, else numpy.
 * ``block_totals``: the scan kernel. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
@@ -23,15 +25,12 @@ The key pieces:
   whatever n is. Together they exceed glibc's trim threshold (128 KiB,
   or twice the largest freed mmapped chunk once it adapts), so the heap
   a block frees would go back to the system and be faulted in again by
-  the next block; ``cli.main`` raises both thresholds at start. Where
-  ``msclust.cscan`` can build and load ``_scan.c`` on the first scan, a
-  C loop that allocates only its output computes the same bits, and the
-  numpy body is its fallback and its reference.
-* ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax.
-  With ``workers`` > 1 a pass from 2 * ``SHARE_DISTANCES`` distances (n
-  near 1,450; a fork and its pickle cost 4-5 ms) is cut by
-  ``pool.run_shares`` into shares of consecutive candidates, whose blocks
-  come back in candidate order, so every swap is the same.
+  the next block; ``cli.main`` raises both thresholds at start. On a C
+  state a loop of ``_scan.c`` that allocates only its output computes the
+  same bits, and the numpy body is its fallback and its reference.
+* ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax. A
+  fork and its pickle cost 4-5 ms, so ``workers`` split only a pass from
+  2 * ``SHARE_DISTANCES`` distances (n near 1,450).
 * ``_swap_if_sum_rises``: a scored swap is kept and counted only if the
   fresh ``ams_sum`` rises by more than ``EPS_GAIN`` (pammedsil's rule),
   else it is swapped back. The scan totals round differently, and from n
@@ -40,19 +39,10 @@ The key pieces:
 * ``fastmsc``: steepest descent, each swap one ``update_caches_after_swap``
   call; identical to the naive pammedsil under the shared tie-breaks.
 * ``fastermsc``: eager first-descent variant that applies every
-  improving swap immediately while cycling over candidates. Each block
-  is scored speculatively against the current medoids and its first
-  improving candidate is applied; blocks are clipped at every point
-  where the one-candidate-at-a-time loop would stop or count a pass, so
-  the swap sequence is the same as scoring one candidate at a time. The
-  first block of a run is one candidate wide; after a swap a block is
-  about ``SCAN_BUDGET / 8`` distances wide, and a block without a swap
-  doubles the width up to ``SCAN_BUDGET``. With the compiled kernel the
-  block loop is ``eager_next`` of ``_scan.c``, a state machine that
-  returns to Python only to try an improving swap with the fresh sum, to
-  score a block of one candidate through ``candidate_totals``, after
-  ``EAGER_DISTANCES`` distances, and at the end; it makes no block
-  temporaries.
+  improving swap immediately while cycling over candidates, in blocks
+  that give the swap sequence of scoring one candidate at a time
+  (``_fastermsc_state``); on a C state ``eager_next`` of ``_scan.c`` runs
+  the block loop and makes no block temporaries.
 
 All delta values are gains in the unnormalized silhouette sum; division
 by n happens only at reporting boundaries. The scalar per-point delta
@@ -74,6 +64,7 @@ from .core import (
     check_integers,
     check_matrix,
     check_medoids,
+    compiled,
     nearest_three_all,
     safe_ratio_arr,
     top3,
@@ -89,28 +80,6 @@ EAGER_DISTANCES = 2**22
 # return codes, as _scan.c numbers them
 PASSES, CAP, KEPT, POSITION, CANDIDATE, SCORED = 6, 8, 10, 11, 12, 13
 CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED = range(5)
-
-# block_totals' compiled kernel: False until the first loaded_kernel call
-# loads it, then the C function with rescan, eager_next and parse_csv as its
-# attributes, or None (it could not be built or loaded): numpy scores, and
-# core reads CSV token by token
-_kernel = False
-
-
-def loaded_kernel():
-    """The compiled kernel, loaded on the first call, or None."""
-    global _kernel
-    if _kernel is False:
-        from . import cscan  # here: its build tools stay out of the CLI's import
-        _kernel = cscan.load()
-    return _kernel
-
-
-@dataclass(frozen=True)
-class SwapCandidate:
-    medoid_position: int
-    replacement: int
-    gain: float
 
 
 @dataclass
@@ -149,10 +118,11 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
 
     Only here are the state's arrays allocated, C-ordered in the dtypes
     that _scan.c reads; every later operation writes them in place. So
-    the C functions' address table is taken once: (n1, n2, matrix, d1, d2,
-    d3, r12, r13, r23 and removal_loss in block_totals' order; medoids;
-    work; is_medoid), or None for a matrix that is not C-ordered float64
-    (a Fortran-ordered or strided view), which numpy then scores.
+    the table for C is taken once: (the library of core.compiled; n1, n2,
+    matrix, d1, d2, d3, r12, r13, r23 and removal_loss in block_totals'
+    order; medoids; work; is_medoid). It is None, and numpy scores the
+    state for its whole life, where the library did not load or the
+    matrix is not C-ordered float64 (a Fortran-ordered or strided view).
     """
     medoids = check_medoids(medoids, len(matrix))
     n, k = len(matrix), len(medoids)
@@ -161,11 +131,11 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
     c = nearest_three_all(matrix, medoids)
     removal_loss, work = np.empty(k), np.empty(k)
     r12, r13, r23 = np.empty(n), np.empty(n), np.empty(n)
-    addresses = None
-    if matrix.dtype == np.float64 and matrix.flags.c_contiguous:
+    library, addresses = compiled(), None
+    if library is not None and matrix.dtype == np.float64 and matrix.flags.c_contiguous:
         scan = (c.n1, c.n2, matrix, c.d1, c.d2, c.d3, r12, r13, r23, removal_loss)
-        addresses = (tuple(a.ctypes.data for a in scan), medoids.ctypes.data, work.ctypes.data,
-                     is_medoid.ctypes.data)
+        addresses = (library, tuple(a.ctypes.data for a in scan), medoids.ctypes.data,
+                     work.ctypes.data, is_medoid.ctypes.data)
     state = OptimizerState(matrix, medoids, is_medoid, c, removal_loss, r12, r13, r23, work,
                            addresses)
     _refresh_derived(state)
@@ -193,19 +163,19 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     points. Only pairs with d(o, j) < d3(o) contribute; the rest are in
     the far-far case, whose delta is zero.
 
-    The C kernel of _scan.c returns the same bits. It runs when _addresses
-    gives the state's table and J is a C-ordered intp vector in range;
+    The block_totals of _scan.c returns the same bits. It runs on a state
+    with a table for C, where J is a C-ordered intp vector in range;
     otherwise the numpy body below runs, which is also the reference that
     the tests hold it to.
     """
-    addresses = _addresses(state)
     c = state.cache
     n = len(state.matrix)
     m, k = len(J), state.k
-    if (addresses is not None and _kernel_reads(J)
+    if (state.addresses is not None and _kernel_reads(J)
             and (m == 0 or 0 <= J.min() <= J.max() < n)):
         out = np.empty(m * k + m + k)
-        _kernel(n, m, k, J.ctypes.data, *addresses[0], out.ctypes.data)
+        library, scan = state.addresses[:2]
+        library.block_totals(n, m, k, J.ctypes.data, *scan, out.ctypes.data)
         return out[:m * k].reshape(m, k), out[m * k:m * k + m]
     rows = state.matrix[J]
     # flat indices of the near pairs, row-major: candidate r, point p
@@ -234,14 +204,6 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     return acc, shared
 
 
-def _addresses(state: OptimizerState) -> tuple | None:
-    """The table of addresses that make_state took for the C functions of
-    _scan.c, which stays valid as every array is written in place; None
-    where the kernel did not load or the matrix is not C-ordered float64:
-    numpy runs then."""
-    return None if loaded_kernel() is None else state.addresses
-
-
 def _kernel_reads(a: np.ndarray) -> bool:
     """Whether a is a C-ordered intp vector, as C reads J and idx."""
     return a.dtype == np.intp and a.ndim == 1 and a.flags.c_contiguous
@@ -267,9 +229,10 @@ def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, n
     return pos, acc[np.arange(len(J)), pos] + shared
 
 
-def find_best_swap(state: OptimizerState, workers: int = 1) -> SwapCandidate | None:
-    """Best strictly-improving swap over all non-medoid candidates, or
-    None when no candidate gains more than the improvement epsilon.
+def find_best_swap(state: OptimizerState, workers: int = 1) -> tuple[int, int, float] | None:
+    """Best strictly-improving swap over all non-medoid candidates, as
+    (medoid position, candidate, gain), or None when no candidate gains
+    more than the improvement epsilon.
 
     For each candidate the best medoid position is the argmax of the
     per-medoid accumulators (the shared addition gain is constant across
@@ -287,7 +250,7 @@ def find_best_swap(state: OptimizerState, workers: int = 1) -> SwapCandidate | N
     b = int(np.argmax(totals))
     if totals[b] <= EPS_GAIN:
         return None
-    return SwapCandidate(int(pos[b]), int(candidates[b]), float(totals[b]))
+    return int(pos[b]), int(candidates[b]), float(totals[b])
 
 
 def update_caches_after_swap(state: OptimizerState, position: int, replacement: int) -> None:
@@ -323,12 +286,11 @@ def _swap_if_sum_rises(state: OptimizerState, position: int, replacement: int,
 
 def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
     """Recompute the neighbor records of the points in idx, then what is
-    derived from the cache: by rescan of _scan.c where _addresses gives
-    the state's table, else with numpy, in place and in the same bits."""
-    addresses = _addresses(state)
-    if addresses is not None and _kernel_reads(idx):
-        scan, medoids, work, _ = addresses
-        if _kernel.rescan(len(state.matrix), state.k, len(idx), idx.ctypes.data, *scan,
+    derived from the cache: by rescan of _scan.c on a state with a table
+    for C, else with numpy, in place and in the same bits."""
+    if state.addresses is not None and _kernel_reads(idx):
+        library, scan, medoids, work, _ = state.addresses
+        if library.rescan(len(state.matrix), state.k, len(idx), idx.ctypes.data, *scan,
                           medoids, work) == 0:
             return
     t = top3(state.matrix[idx[:, None], state.medoids])
@@ -358,8 +320,7 @@ def fastmsc(matrix, medoids, max_iter: int = DEFAULT_MAX_ITER,
         state.iterations += 1
         cand = find_best_swap(state, workers)
         if cand is not None:
-            current = _swap_if_sum_rises(state, cand.medoid_position,
-                                         cand.replacement, current)
+            current = _swap_if_sum_rises(state, cand[0], cand[1], current)
         if cand is None or current is None:
             converged = True
             break
@@ -398,16 +359,16 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     The resume width trades a block's fixed cost of some 40 numpy calls
     against the rows scored past the next swap, which are wasted.
 
-    Where _addresses gives the state's table, _eager_compiled runs this
-    loop in C, with the same blocks; the loop below is its fallback and
-    its reference.
+    On a state with a table for C, _eager_compiled runs this loop in C,
+    with the same blocks; the loop below is its fallback and its
+    reference.
     """
     n = len(state.matrix)
     cap = block_rows(n)
     resume = max(1, cap // 8)
     # C counts passes in intp; no run makes 2**30 of them
     last_pass = state.iterations + min(max(max_iter, 0), 2**30)
-    if _addresses(state) is not None:
+    if state.addresses is not None:
         # eager_next's state vector, in _scan.c's order: j = n, stop,
         # visited = 0, width = 1, row = -1 (no block yet), rows, passes,
         # last_pass, cap, resume, kept, position, candidate, scored, budget
@@ -455,10 +416,10 @@ def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
     J = np.empty(2 * cap, dtype=np.intp)
     out = np.empty(cap * (k + 1) + k)
     buffers = machine.ctypes.data, J.ctypes.data, out.ctypes.data
-    scan, _, _, is_medoid = state.addresses
+    library, scan, _, _, is_medoid = state.addresses
     current = state.ams_sum
     while True:
-        code = _kernel.eager_next(n, k, EPS_GAIN, *scan, is_medoid, *buffers)
+        code = library.eager_next(n, k, EPS_GAIN, *scan, is_medoid, *buffers)
         state.iterations = int(machine[PASSES])
         if code in (CONVERGED, OUT_OF_PASSES):
             return code == CONVERGED

@@ -12,28 +12,23 @@ CGROUP_ROOT = "/sys/fs/cgroup"
 OWN_CGROUP = "/proc/self/cgroup"
 
 
-def _cgroup_numbers(v1: tuple, v2: tuple):
-    """Per own cgroup of this process with the files named v1 (in a v1
-    hierarchy) or v2 (unified), their integers; "max" (no limit) skips it."""
+def usable_cpus() -> int:
+    """The affinity mask's CPUs (one without os.sched_getaffinity, as on
+    macOS), capped at ceil(quota / period) of each own cgroup of this
+    process: v2 cpu.max, where "max" is no limit, or v1 cpu.cfs_quota_us
+    over cpu.cfs_period_us, where -1 is no limit."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     try:
         entries = [line.split(":", 2) for line in Path(OWN_CGROUP).read_text().splitlines()]
     except OSError:  # not Linux
-        return
+        return cpus
     for _, controllers, path in entries:
-        where, names = Path(CGROUP_ROOT, controllers, path.lstrip("/")), v1 if controllers else v2
+        where = Path(CGROUP_ROOT, controllers, path.lstrip("/"))
+        names = ("cpu.cfs_quota_us", "cpu.cfs_period_us") if controllers else ("cpu.max",)
         try:  # a v1 hierarchy of another controller has no such files
-            yield [int(v) for f in names for v in (where / f).read_text().split()]
+            quota, period = (int(v) for f in names for v in (where / f).read_text().split())
         except (OSError, ValueError):  # ValueError: "max"
             continue
-
-
-def usable_cpus() -> int:
-    """The affinity mask's CPUs (one without os.sched_getaffinity, as on
-    macOS), capped at ceil(quota / period) of this process's own cgroup:
-    v2 cpu.max, where "max" is no limit, or v1 cpu.cfs_quota_us over
-    cpu.cfs_period_us, where -1 is no limit."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    for quota, period in _cgroup_numbers(("cpu.cfs_quota_us", "cpu.cfs_period_us"), ("cpu.max",)):
         if quota > 0 and period > 0:
             cpus = min(cpus, -(-quota // period))
     return cpus

@@ -1,13 +1,8 @@
-import importlib
-
 import pytest
 
 from msclust import cscan
 
-from helpers import line_matrix
-
-# the package re-exports the function fastmsc under the module's name
-fm = importlib.import_module("msclust.fastmsc")
+from helpers import line_matrix, scan_on
 
 
 @pytest.fixture
@@ -18,7 +13,8 @@ def line():
 
 @pytest.fixture(scope="session")
 def kernel():
-    """The compiled scan kernel; the test is skipped where it cannot be built."""
+    """The library of _scan.c, as cscan.load gives it; the test is skipped
+    where it cannot be built."""
     loaded = cscan.load()
     if loaded is None:
         pytest.skip("the scan kernel cannot be built here (no cc, or __pycache__ "
@@ -27,9 +23,11 @@ def kernel():
 
 
 @pytest.fixture(params=["compiled", "numpy"])
-def scan_path(request, monkeypatch):
-    """Every block scored by the compiled kernel, or by the numpy body (the
-    kernel handle set to None)."""
-    loaded = request.getfixturevalue("kernel") if request.param == "compiled" else None
-    monkeypatch.setattr(fm, "_kernel", loaded)
-    return request.param
+def scan_path(request):
+    """Every state that the test makes scored by the compiled kernel, which
+    must then be called, or by the numpy body, which must then call no C
+    function (see helpers.scan_on)."""
+    kernel = request.getfixturevalue("kernel") if request.param == "compiled" else None
+    with scan_on(request.param, kernel) as calls:
+        yield request.param
+    assert request.param == "numpy" or sum(calls.values()) > 0

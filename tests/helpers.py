@@ -1,11 +1,19 @@
-"""Shared test data generators, and the seams of the forked workers."""
+"""Shared test data generators, the seams of the forked workers, and the
+stand-ins for the library of ``_scan.c`` that ``core.compiled`` gives."""
 
+import collections
+import contextlib
+import importlib
 import os
+import types
 
 import numpy as np
 import pytest
 
-from msclust import build_matrix, pool
+from msclust import build_matrix, core, pool
+
+fm = importlib.import_module("msclust.fastmsc")
+C_FUNCTIONS = ("block_totals", "rescan", "eager_next", "parse_csv")
 
 LINE_POINTS = [[0.0], [1.0], [10.0], [11.0]]
 
@@ -56,3 +64,40 @@ def use_cpus(monkeypatch, count):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def counting(library, calls):
+    """A stand-in for the library of _scan.c that passes every call on to
+    library and counts it in calls: by the C function's name, and for
+    eager_next by the code it returns."""
+    def counted(name):
+        def call(*args):
+            result = getattr(library, name)(*args)
+            calls[result if name == "eager_next" else name] += 1
+            return result
+        return call
+    return types.SimpleNamespace(**{name: counted(name) for name in C_FUNCTIONS})
+
+
+def refuse(*args):
+    raise AssertionError("C was called on a state or path that numpy must score")
+
+
+REFUSING = types.SimpleNamespace(**dict.fromkeys(C_FUNCTIONS, refuse))
+
+
+@contextlib.contextmanager
+def scan_on(path, kernel=None):
+    """Inside the block, core.compiled gives the "compiled" path a counting
+    stand-in for kernel, and the "numpy" path None; there the gates to C
+    refuse, so a state that holds a table for C, even one made before the
+    block, fails the test. Yields the counts of the C calls."""
+    calls = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "compiled":
+            mp.setattr(core, "_library", counting(kernel, calls))
+        else:
+            mp.setattr(core, "_library", None)
+            mp.setattr(fm, "_kernel_reads", refuse)  # block_totals' and _rescan's gate
+            mp.setattr(fm, "_eager_compiled", refuse)
+        yield calls

@@ -151,9 +151,9 @@ class TestAcceptance:
                 cand = find_best_swap(state)
                 if cand is None:
                     break
-                if cand.gain <= 0:
+                if cand[2] <= 0:
                     ok = False
-                update_caches_after_swap(state, cand.medoid_position, cand.replacement)
+                update_caches_after_swap(state, *cand[:2])
                 if state.ams_sum < prev:
                     ok = False
                 prev = state.ams_sum

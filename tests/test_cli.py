@@ -767,18 +767,29 @@ class TestAllocatorThresholds:
     """main keeps freed memory in the heap where glibc's mallopt exists,
     and runs unchanged where it does not."""
 
-    # argv[1] is the hook (on or off) and the scan (numpy or compiled)
+    # argv[1] is the hook (on or off) and the scan (numpy or compiled); the
+    # library loads inside the count, and on the compiled scan it is wrapped
+    # to count its calls, of which the numpy scan must make none
     CHILD = (
-        "import importlib, resource, sys\n"
+        "import resource, sys\n"
         "import msclust.cli as cli\n"
+        "from msclust import core\n"
         "hook, scan = sys.argv[1].split('-')\n"
         "if hook == 'off':\n"
         "    cli._keep_freed_memory = lambda: None\n"
-        "if scan == 'numpy':\n"
-        "    importlib.import_module('msclust.fastmsc')._kernel = None\n"
+        "calls = []\n"
+        "class Counting:\n"
+        "    def __getattr__(self, name):\n"
+        "        if not hasattr(Counting, 'library'):\n"
+        "            from msclust import cscan\n"
+        "            Counting.library = cscan.load()\n"
+        "        function = getattr(Counting.library, name)\n"
+        "        return lambda *args: calls.append(name) or function(*args)\n"
+        "core._library = None if scan == 'numpy' else Counting()\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "code = cli.main(sys.argv[2:])\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert (scan == 'compiled') == bool(calls), len(calls)\n"
         "sys.stderr.write(str(after - before))\n"
         "sys.exit(code)\n"
     )

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from msclust import build_matrix, core, cscan, dynmsc, fastermsc, fastmsc, init_random
 from msclust.fastmsc import make_state
 
-from helpers import assert_no_child_left, uniform_instance
+from helpers import REFUSING, assert_no_child_left, counting, scan_on, uniform_instance
 from test_properties import awkward_matrices
 from test_scan_kernel import assert_same_bits, blob_grid, reference_block_totals, tied_instance
 
@@ -50,26 +50,21 @@ def scan_inputs(draw):
     return state, J[start:draw(st.integers(start + 1, len(J)))]
 
 
-def scores(state, J, kernel):
-    """block_totals on the given kernel handle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fm, "_kernel", kernel)
-        return fm.block_totals(state, J)
+def scores(state, J, path, kernel=None):
+    """block_totals of J on a state made like state on the path, and the
+    counts of the C calls."""
+    with scan_on(path, kernel) as calls:
+        return fm.block_totals(make_state(state.matrix, state.medoids), J), calls
 
 
 @settings(deadline=None, max_examples=300)
 @given(scan_inputs())
 def test_the_kernel_gives_the_numpy_bits(kernel, inputs):
     state, J = inputs
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    for got, want in zip(scores(state, J, counted), scores(state, J, None)):
+    compiled, calls = scores(state, J, "compiled", kernel)
+    for got, want in zip(compiled, scores(state, J, "numpy")[0]):
         assert_same_bits(got, want)
-    assert len(calls) == 1
+    assert calls == {"block_totals": 1}
 
 
 @pytest.mark.parametrize("data", ["uniform", "tied", "blobs"])
@@ -79,14 +74,14 @@ def test_both_paths_make_the_same_runs(kernel, data):
               "blobs": lambda: blob_grid(2)}[data]()
     m0 = init_random(len(matrix), 12, seed=4)
 
-    def runs(handle):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fm, "_kernel", handle)
+    def runs(path):
+        with scan_on(path, kernel) as calls:
             results = [fastmsc(matrix, m0), fastermsc(matrix, m0)]
             results += dynmsc(matrix, k_max=12, seed=4).per_k.values()
+        assert (path == "compiled") == (sum(calls.values()) > 0)
         return [fields(r) for r in results]
 
-    assert runs(kernel) == runs(None)
+    assert runs("compiled") == runs("numpy")
 
 
 def fields(result):
@@ -101,8 +96,8 @@ def test_nothing_is_loaded_at_import(tmp_path):
     path = tmp_path / "matrix.csv"
     path.write_text("0,1,5\n1,0,4\n5,4,0\n")
     code = ("import ctypes, sys, msclust.cli\n"
-            "fm = sys.modules['msclust.fastmsc']\n"
-            "assert fm._kernel is False and 'msclust.cscan' not in sys.modules\n"
+            "core = sys.modules['msclust.core']\n"
+            "assert core._library is False and 'msclust.cscan' not in sys.modules\n"
             "if sys.argv[1] == 'True':\n"
             "    loads = []\n"
             "    class CDLL(ctypes.CDLL):\n"
@@ -113,7 +108,7 @@ def test_nothing_is_loaded_at_import(tmp_path):
             "    from msclust import fastermsc\n"
             "    from msclust.core import load_matrix_csv\n"
             "    matrix = load_matrix_csv(sys.argv[2])\n"
-            "    assert fm._kernel is not None and 'subprocess' not in sys.modules\n"
+            "    assert core._library is not None and 'subprocess' not in sys.modules\n"
             "    fastermsc(matrix, [0, 1])\n"
             "    assert len(loads) == 1 and 'subprocess' not in sys.modules, loads\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cscan.__file__).parents[1]))
@@ -160,20 +155,20 @@ def test_a_kernel_that_cannot_load_leaves_the_numpy_scan(failure, tmp_path, monk
         monkeypatch.setattr(shutil, "which", lambda name: str(fake))
         monkeypatch.setattr(cscan, "COMPILE_SECONDS", 1.0)
     matrix = uniform_instance(40, seed=8)
-    state = make_state(matrix, init_random(40, 4, seed=8))
-    J = np.flatnonzero(~state.is_medoid)
     csv = tmp_path / "matrix.csv"
     csv.write_text("\n".join(",".join(map(repr, row)) for row in matrix.tolist()))
-    monkeypatch.setattr(fm, "_kernel", None)
+    monkeypatch.setattr(core, "_library", None)
     numpy_runs = optimizer_runs(matrix, 4, 8)
-    monkeypatch.setattr(fm, "_kernel", False)
+    monkeypatch.setattr(core, "_library", False)
 
     # the CSV loader makes the first load attempt, and reads token by token
     started = time.monotonic()
     assert core.load_matrix_csv(csv).tobytes() == matrix.tobytes()
+    state = make_state(matrix, init_random(40, 4, seed=8))
+    J = np.flatnonzero(~state.is_medoid)
     got = fm.block_totals(state, J)
     assert time.monotonic() - started < 20
-    assert fm._kernel is None
+    assert core._library is None and state.addresses is None
     for a, b in zip(got, reference_block_totals(state, J)):
         assert_same_bits(a, b)
     assert optimizer_runs(matrix, 4, 8) == numpy_runs
@@ -199,22 +194,41 @@ def strided(matrix):
 
 @pytest.mark.parametrize("layout", [np.asfortranarray, strided], ids=["fortran", "strided"])
 def test_a_fortran_ordered_matrix_is_scored_with_numpy(monkeypatch, layout):
+    # the library refuses every call, as C cannot read such a matrix
+    monkeypatch.setattr(core, "_library", REFUSING)
     matrix = uniform_instance(50, seed=3)
     m0 = init_random(50, 4, seed=3)
     state = make_state(layout(matrix), m0)
     J = np.flatnonzero(~state.is_medoid)
-
-    def refuse(*args):
-        raise AssertionError("the kernel was given a matrix it cannot read")
-
-    refuse.rescan = refuse.eager_next = refuse
-    monkeypatch.setattr(fm, "_kernel", refuse)
     for a, b in zip(fm.block_totals(state, J), reference_block_totals(state, J)):
         assert_same_bits(a, b)
     fortran = optimizer_runs(layout(matrix), 4, 3)
-    monkeypatch.setattr(fm, "_kernel", None)
+    monkeypatch.setattr(core, "_library", None)
     assert fortran == optimizer_runs(matrix, 4, 3)
     assert_no_child_left()
+
+
+def test_a_state_keeps_the_path_it_was_made_with(kernel, monkeypatch):
+    # make_state asks core.compiled once: a library that it gives later
+    # reaches no state made before, on either path
+    matrix = uniform_instance(60, seed=6)
+    m0 = init_random(60, 6, seed=6)
+    calls = collections.Counter()
+    states = {}
+    for path, library in (("numpy", None), ("compiled", counting(kernel, calls))):
+        monkeypatch.setattr(core, "_library", library)
+        states[path] = make_state(matrix, m0)
+    monkeypatch.setattr(core, "_library", REFUSING)
+    runs = {}
+    for path, state in states.items():
+        best = fm.find_best_swap(state)
+        converged = fm._fastermsc_state(state, 1000)
+        dynmsc_module.remove_medoid(state, int(np.argmax(state.removal_loss)))
+        runs[path] = best, converged, state.swaps, state.iterations, state_bits(state)
+        if path == "numpy":
+            assert not calls
+    assert runs["numpy"] == runs["compiled"]
+    assert calls["block_totals"] > 0 and calls["rescan"] > 0 and calls[fm.CONVERGED] == 1
 
 
 def optimizer_runs(matrix, k, seed):
@@ -223,26 +237,6 @@ def optimizer_runs(matrix, k, seed):
     results = [fastmsc(matrix, m0), fastermsc(matrix, m0)]
     results += dynmsc(matrix, k_max=k, seed=seed).per_k.values()
     return [fields(r) for r in results]
-
-
-def counting(kernel, calls):
-    """A kernel handle that counts the calls of each C function in calls
-    and the codes that eager_next returns."""
-    def block_totals(*args):
-        calls["block_totals"] += 1
-        return kernel(*args)
-
-    def rescan(*args):
-        calls["rescan"] += 1
-        return kernel.rescan(*args)
-
-    def eager_next(*args):
-        code = kernel.eager_next(*args)
-        calls[code] += 1
-        return code
-
-    block_totals.rescan, block_totals.eager_next = rescan, eager_next
-    return block_totals
 
 
 def state_bits(state):
@@ -279,18 +273,17 @@ def eager_inputs(draw):
 @given(eager_inputs(), st.sampled_from([-1, 0, 1, 2, 10**30]))
 def test_the_compiled_eager_loop_makes_the_numpy_runs(kernel, inputs, max_iter):
     matrix, m0 = inputs
-    calls = collections.Counter()
     runs = []
-    for handle in (counting(kernel, calls), None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fm, "_kernel", handle)
+    for path in ("compiled", "numpy"):
+        with scan_on(path, kernel) as calls:
             state = make_state(matrix, m0)
             converged = fm._fastermsc_state(state, max_iter)
             sweep = dynmsc(matrix, k_max=len(m0), seed=len(matrix), max_iter=max_iter)
         runs.append((fields(fm._result(state, converged)), state_bits(state),
                      [fields(r) for r in sweep.per_k.values()], sweep.best_k))
+        if path == "compiled":
+            assert calls[fm.CONVERGED] + calls[fm.OUT_OF_PASSES] == 1 + len(runs[0][2])
     assert runs[0] == runs[1]
-    assert calls[fm.CONVERGED] + calls[fm.OUT_OF_PASSES] == 1 + len(runs[0][2])
 
 
 @settings(deadline=None, max_examples=200)
@@ -301,11 +294,9 @@ def test_the_c_rescan_gives_the_numpy_bits(kernel, inputs, data):
     position = data.draw(st.integers(0, k - 1))
     replacement = data.draw(st.sampled_from(np.flatnonzero(~base.is_medoid).tolist()))
     drop = data.draw(st.integers(0, k - 2))
-    calls = collections.Counter()
     bits = []
-    for handle in (counting(kernel, calls), None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fm, "_kernel", handle)
+    for path in ("compiled", "numpy"):
+        with scan_on(path, kernel) as calls:
             state = make_state(base.matrix, base.medoids)
             before = state_bits(state)
             # a swap that cannot raise the sum by more than inf is undone
@@ -318,70 +309,80 @@ def test_the_c_rescan_gives_the_numpy_bits(kernel, inputs, data):
             if k > 2:
                 dynmsc_module.remove_medoid(state, drop)
         bits.append((swapped, state_bits(state)))
+        if path == "compiled":
+            assert calls["rescan"] == 4 + (k > 2)
     assert bits[0] == bits[1]
-    assert calls["rescan"] == 4 + (k > 2)
 
 
-def assert_table_is_live(state):
-    """Each entry of the state's address table is the address that the
-    array it stands for has now."""
+def addresses(state):
+    """The addresses that the state's arrays have now, in the order of the
+    table for C that make_state takes."""
     c = state.cache
     scan = (c.n1, c.n2, state.matrix, c.d1, c.d2, c.d3, state.r12, state.r13, state.r23,
             state.removal_loss)
-    assert state.addresses == (tuple(a.ctypes.data for a in scan), state.medoids.ctypes.data,
-                               state.work.ctypes.data, state.is_medoid.ctypes.data)
-
-
-def checked(rescan):
-    """rescan, after asserting the table: a stale address fails here, before
-    C reads it."""
-    def wrapper(state, idx):
-        assert_table_is_live(state)
-        rescan(state, idx)
-    return wrapper
+    return (tuple(a.ctypes.data for a in scan), state.medoids.ctypes.data,
+            state.work.ctypes.data, state.is_medoid.ctypes.data)
 
 
 @settings(deadline=None, max_examples=100)
 @given(eager_inputs(), st.booleans(), st.data())
 def test_the_address_table_stays_live(kernel, inputs, read_only, data):
-    # make_state takes the addresses once; a swap kept or undone, a full
-    # rescan, every removal down to k = 2 and the optimizers' runs must
-    # write the same buffers. A read-only matrix is still scored by C.
+    # make_state allocates every array, and on the compiled path takes their
+    # table for C once; a swap kept or undone, a full rescan, every removal
+    # down to k = 2 and the optimizers' runs must write the same buffers on
+    # both paths. A read-only matrix is still scored by C.
     matrix, m0 = inputs
     matrix.flags.writeable = not read_only
     n, k = len(matrix), len(m0)
     position = data.draw(st.integers(0, k - 1))
     replacement = data.draw(st.sampled_from(sorted(set(range(n)) - set(m0.tolist()))))
     drops = [data.draw(st.integers(0, j - 1)) for j in range(k, 2, -1)]
-    calls = collections.Counter()
-    for handle in (counting(kernel, calls), None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fm, "_kernel", handle)
+    for path in ("compiled", "numpy"):
+        states, taken = [], {}  # per state made: its arrays' addresses then
+
+        def made(*args):
+            states.append(make_state(*args))
+            taken[id(states[-1])] = addresses(states[-1])
+            return states[-1]
+
+        def live(state):
+            assert addresses(state) == taken[id(state)]
+            assert (state.addresses is None if path == "numpy"
+                    else state.addresses[1:] == taken[id(state)])
+
+        def checked(rescan):
+            """rescan, after asserting the table: a stale address fails
+            here, before C reads it."""
+            def wrapper(state, idx):
+                live(state)
+                rescan(state, idx)
+            return wrapper
+
+        with scan_on(path, kernel) as calls, pytest.MonkeyPatch.context() as mp:
             mp.setattr(fm, "_rescan", checked(fm._rescan))
             mp.setattr(dynmsc_module, "_rescan", checked(dynmsc_module._rescan))
-            state = make_state(matrix, m0)
-            assert_table_is_live(state)
+            state = made(matrix, m0)
+            live(state)
             assert fm._swap_if_sum_rises(state, position, replacement, np.inf) is None
-            assert_table_is_live(state)
+            live(state)
             assert fm._swap_if_sum_rises(state, position, replacement, -np.inf) is not None
-            assert_table_is_live(state)
+            live(state)
             fm._rescan(state, np.arange(n))
-            assert_table_is_live(state)
+            live(state)
             for drop in drops:
                 dynmsc_module.remove_medoid(state, drop)
-                assert_table_is_live(state)
-            runs = []
-            mp.setattr(fm, "make_state", lambda *args: runs.append(make_state(*args)) or runs[-1])
+                live(state)
+            mp.setattr(fm, "make_state", made)
             fastmsc(matrix, m0, max_iter=3)
-            fm._fastermsc_state(runs[0], 3)
-            assert_table_is_live(runs[0])
-    assert calls["rescan"] > 0 and calls["block_totals"] > 0
+            fm._fastermsc_state(states[1], 3)
+            live(states[1])
+        assert path == "numpy" or (calls["rescan"] > 0 and calls["block_totals"] > 0)
 
 
 def test_the_eager_loop_returns_once_per_distance_budget(kernel, monkeypatch):
     matrix = blob_grid(3)
     m0 = init_random(len(matrix), 20, seed=3)
-    monkeypatch.setattr(fm, "_kernel", kernel)
+    monkeypatch.setattr(core, "_library", kernel)
     expected = fields(fastermsc(matrix, m0))
     machines = []
     compiled = fm._eager_compiled
@@ -393,7 +394,7 @@ def test_the_eager_loop_returns_once_per_distance_budget(kernel, monkeypatch):
     calls = collections.Counter()
     budget = 2 * core.block_rows(len(matrix)) * len(matrix)  # two blocks of the widest
     monkeypatch.setattr(fm, "_eager_compiled", kept_machine)
-    monkeypatch.setattr(fm, "_kernel", counting(kernel, calls))
+    monkeypatch.setattr(core, "_library", counting(kernel, calls))
     monkeypatch.setattr(fm, "EAGER_DISTANCES", budget)
     assert fields(fastermsc(matrix, m0)) == expected
     (machine,), returns = machines, sum(calls[code] for code in range(5))

@@ -3,7 +3,7 @@
 bits on every token it accepts, and the per-token path's array or
 exception on every file, whichever path reads it."""
 
-import importlib
+import collections
 import locale
 import math
 import mmap
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from msclust import core
 
-fm = importlib.import_module("msclust.fastmsc")
+from helpers import counting
 
 
 def compiled(kernel, data: bytes, size: int | None = None):
@@ -35,17 +35,24 @@ def compiled(kernel, data: bytes, size: int | None = None):
     return out
 
 
-def outcome(path, handle):
-    """What _parse_csv_rows gives for path with the kernel handle (None:
-    the per-token path): the array's dtype, shape and bytes, or the
-    exception's type and message."""
+def outcome(path, kernel):
+    """What _parse_csv_rows gives for path where core.compiled gives a
+    counting stand-in for kernel, or None (the per-token path): the array's
+    dtype, shape and bytes, or the exception's type and message. With a
+    kernel, parse_csv must be called on a non-empty regular file and on
+    nothing else."""
+    calls = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fm, "_kernel", handle)
+        mp.setattr(core, "_library", None if kernel is None else counting(kernel, calls))
         try:
             rows = core._parse_csv_rows(path)
         except (ValueError, OSError) as exc:
-            return type(exc), str(exc)
-    return rows.dtype, rows.shape, rows.tobytes()
+            got = type(exc), str(exc)
+        else:
+            got = rows.dtype, rows.shape, rows.tobytes()
+    assert (calls["parse_csv"] > 0) == (kernel is not None and os.path.isfile(path)
+                                        and os.path.getsize(path) > 0)
+    return got
 
 
 def from_bits(bits: int) -> float:

@@ -98,7 +98,7 @@ class TestFindBestSwap:
         cand = find_best_swap(state)
         assert cand is not None
         assert state.ams_sum / 4 == pytest.approx(0.5477272727272727)
-        assert (state.ams_sum + cand.gain) / 4 == pytest.approx(0.95)
+        assert (state.ams_sum + cand[2]) / 4 == pytest.approx(0.95)
 
     def test_none_at_optimum(self, line):
         state = make_state(line, [1, 2])
@@ -239,7 +239,7 @@ class TestCacheUpdates:
             cand = find_best_swap(state)
             if cand is None:
                 break
-            update_caches_after_swap(state, cand.medoid_position, cand.replacement)
+            update_caches_after_swap(state, *cand[:2])
             assert_cache_consistent(state)
             assert state.removal_loss == pytest.approx(
                 make_state(mat, state.medoids).removal_loss, abs=1e-9

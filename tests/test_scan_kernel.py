@@ -311,8 +311,9 @@ def test_steepest_scan_picks_the_earliest_best_candidate(budget_rows, monkeypatc
         if best_gain <= EPS_GAIN:
             assert cand is None
         else:
-            assert (cand.medoid_position, cand.replacement) == best
-            assert cand.gain == best_gain
+            position, replacement, gain = cand
+            assert (position, replacement) == best
+            assert gain == best_gain
 
 
 EAGER_CASES = [

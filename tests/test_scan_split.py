@@ -57,10 +57,10 @@ def swap_sequence(matrix, medoids, workers, steps=4):
     state, found = make_state(matrix, medoids), []
     for _ in range(steps):
         cand = find_best_swap(state, workers)
-        found.append(cand and (cand, cand.gain.hex()))
+        found.append(cand and (cand, cand[2].hex()))
         if cand is None:
             break
-        update_caches_after_swap(state, cand.medoid_position, cand.replacement)
+        update_caches_after_swap(state, *cand[:2])
     return found
 
 
