@@ -1,5 +1,6 @@
-/* The swap-candidate scan of msclust.fastmsc, in C: block_totals, the
-   neighbour rescan of fastmsc._rescan, and eager_next, the block loop of
+/* The swap-candidate scan of msclust.fastmsc, in C: block_totals; best_swap,
+   one share of fastmsc.find_best_swap's steepest pass; the neighbour rescan
+   of fastmsc._rescan; and eager_next, the block loop of
    fastmsc._fastermsc_state; and parse_csv, the strict CSV reader of
    core._parse_csv_rows.
 
@@ -7,12 +8,15 @@
    it returns the same bits: each candidate row's near points (d(o, j) <
    d3(o)) in index order, the n1 and n2 bins summed apart from 0.0 as
    np.bincount sums them and then added as (removal_loss + B1) + B2, every
-   ratio as x / max(b, TINY), and inner as a 0/1 factor. Build it with
-   cc -O2 -ffp-contract=off -fPIC -shared: a fused multiply-add or
-   -ffast-math would change the bits. */
+   ratio as x / max(b, TINY), and inner as a 0/1 factor. A row's near
+   points are first compacted, without a branch, into an index buffer that
+   the caller owns (fastmsc.make_state allocates it), and no function here
+   allocates. Build it with cc -O2 -ffp-contract=off -fPIC -shared: a fused
+   multiply-add or -ffast-math would change the bits. */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -23,35 +27,104 @@ static double ratio(double a, double b)
     return a / (b > TINY ? b : TINY);
 }
 
+/* c ? a : b by a bit mask, as the compiler would else branch on c */
+static double pick(int c, double a, double b)
+{
+    uint64_t mask = -(uint64_t)c, x, y;
+    memcpy(&x, &a, sizeof x);
+    memcpy(&y, &b, sizeof y);
+    x = (x & mask) | (y & ~mask);
+    memcpy(&a, &x, sizeof a);
+    return a;
+}
+
+/* The accumulators of candidate row `row`, (removal_loss + its n1 bins) +
+   its n2 bins, into b1 (k doubles; b2 holds the n2 bins); returns its
+   shared gain. The row's near points go first to idx (n intp) without a
+   branch, then one loop scores them in index order, taking each ratio's
+   operands by pick: the comparisons with d1 and d2 are as likely true as
+   false, and a mispredicted branch costs more than the arithmetic. */
+static double score_row(ptrdiff_t n, ptrdiff_t k, const double *row, const ptrdiff_t *n1,
+                        const ptrdiff_t *n2, const double *d1, const double *d2,
+                        const double *d3, const double *r12, const double *r13,
+                        const double *r23, const double *removal_loss,
+                        ptrdiff_t *restrict idx, double *restrict b1, double *restrict b2)
+{
+    ptrdiff_t near = 0;
+    for (ptrdiff_t p = 0; p < n; p++) {
+        idx[near] = p;
+        near += row[p] < d3[p];
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        b1[i] = b2[i] = 0.0;
+    double s = 0.0;
+    for (ptrdiff_t c = 0; c < near; c++) {
+        ptrdiff_t p = idx[c];
+        double dv = row[p], e1 = d1[p], e2 = d2[p];
+        int below = dv < e1, in = dv < e2;
+        double inner = in;
+        /* dv and d1 meet as min / max, and lost is (d1 + dv) / d2 or d2 / dv */
+        double r1v = ratio(pick(below, dv, e1), pick(below, e1, dv));
+        double lost = ratio(pick(in, e1 + dv, e2), pick(in, e2, dv));
+        b1[n1[p]] += (inner * r1v + r23[p]) - lost;
+        b2[n2[p]] += r13[p] - pick(in, r12[p], r1v);
+        s += inner * (r12[p] - r1v);
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        b1[i] = (removal_loss[i] + b1[i]) + b2[i];
+    return s;
+}
+
+/* np.argmax over the k doubles acc: the first maximum, or the first NaN. */
+static ptrdiff_t first_best(const double *acc, ptrdiff_t k)
+{
+    ptrdiff_t best = 0;
+    for (ptrdiff_t i = 1; i < k && acc[best] == acc[best]; i++)
+        if (acc[i] > acc[best] || acc[i] != acc[i])
+            best = i;
+    return best;
+}
+
 /* The totals of the m candidates J, each a row of the n x n matrix: out
    receives acc (m x k), then shared (m), then k doubles of work, which
-   hold the n2 bins of one row. */
+   hold the n2 bins of one row. idx holds n intp for score_row. */
 void block_totals(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const ptrdiff_t *J,
                   const ptrdiff_t *n1, const ptrdiff_t *n2, const double *matrix,
                   const double *d1, const double *d2, const double *d3, const double *r12,
                   const double *r13, const double *r23, const double *removal_loss,
-                  double *restrict out)
+                  ptrdiff_t *idx, double *restrict out)
 {
+    for (ptrdiff_t r = 0; r < m; r++)
+        out[m * k + r] = score_row(n, k, matrix + J[r] * n, n1, n2, d1, d2, d3, r12, r13, r23,
+                                   removal_loss, idx, out + r * k, out + m * k + m);
+}
+
+/* fastmsc.find_best_swap's pass over the m candidates J, one share of it:
+   each row's best position (first_best of its totals without the shared
+   gain) and total, which is acc + shared as in block_totals. Returns
+   r k + i for the first best total over J in order, np.argmax's rule, at
+   position i of candidate J[r], and writes that total to work[2 k]; work
+   holds 2 k + 1 doubles, idx n intp. */
+ptrdiff_t best_swap(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const ptrdiff_t *J,
+                    const ptrdiff_t *n1, const ptrdiff_t *n2, const double *matrix,
+                    const double *d1, const double *d2, const double *d3, const double *r12,
+                    const double *r13, const double *r23, const double *removal_loss,
+                    ptrdiff_t *idx, double *restrict work)
+{
+    double *b1 = work, *b2 = work + k, best = 0.0;
+    ptrdiff_t found = 0;
     for (ptrdiff_t r = 0; r < m; r++) {
-        const double *row = matrix + J[r] * n;
-        double *b1 = out + r * k, *b2 = out + m * k + m, s = 0.0;
-        for (ptrdiff_t i = 0; i < k; i++)
-            b1[i] = b2[i] = 0.0;
-        for (ptrdiff_t p = 0; p < n; p++) {
-            double dv = row[p];
-            if (!(dv < d3[p]))
-                continue;
-            double inner = dv < d2[p];
-            double r1v = dv < d1[p] ? ratio(dv, d1[p]) : ratio(d1[p], dv);
-            double lost = inner ? ratio(d1[p] + dv, d2[p]) : ratio(d2[p], dv);
-            b1[n1[p]] += (inner * r1v + r23[p]) - lost;
-            b2[n2[p]] += r13[p] - (inner ? r12[p] : r1v);
-            s += inner * (r12[p] - r1v);
+        double s = score_row(n, k, matrix + J[r] * n, n1, n2, d1, d2, d3, r12, r13, r23,
+                             removal_loss, idx, b1, b2);
+        ptrdiff_t i = first_best(b1, k);
+        double total = b1[i] + s;
+        if (r == 0 || total > best || (total != total && best == best)) {
+            best = total;
+            found = r * k + i;
         }
-        out[m * k + r] = s;
-        for (ptrdiff_t i = 0; i < k; i++)
-            b1[i] = (removal_loss[i] + b1[i]) + b2[i];
     }
+    work[2 * k] = best;
+    return found;
 }
 
 /* core.top3 and fastmsc._refresh_derived for the count points idx: each
@@ -131,7 +204,8 @@ ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
                      const ptrdiff_t *n2, const double *matrix, const double *d1,
                      const double *d2, const double *d3, const double *r12, const double *r13,
                      const double *r23, const double *removal_loss,
-                     const unsigned char *is_medoid, ptrdiff_t *st, ptrdiff_t *J, double *out)
+                     const unsigned char *is_medoid, ptrdiff_t *idx, ptrdiff_t *st, ptrdiff_t *J,
+                     double *out)
 {
     ptrdiff_t j = st[J0], stop = st[STOP], visited = st[VISITED], width = st[WIDTH];
     ptrdiff_t row = st[ROW], m = st[ROWS], cap = st[CAP], distances = 0, code;
@@ -187,16 +261,12 @@ ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
             break;
         }
         row = 0;
-        block_totals(n, m, k, J, n1, n2, matrix, d1, d2, d3, r12, r13, r23, removal_loss, out);
+        block_totals(n, m, k, J, n1, n2, matrix, d1, d2, d3, r12, r13, r23, removal_loss, idx,
+                     out);
         for (ptrdiff_t r = 0; r < m; r++) {
-            /* np.argmax: the first maximum, or the first NaN */
-            const double *acc = out + r * k;
-            ptrdiff_t best = 0;
-            for (ptrdiff_t i = 1; i < k && acc[best] == acc[best]; i++)
-                if (acc[i] > acc[best] || acc[i] != acc[i])
-                    best = i;
+            ptrdiff_t best = first_best(out + r * k, k);
             J[cap + r] = best;
-            out[m * k + r] = acc[best] + out[m * k + r];
+            out[m * k + r] = out[r * k + best] + out[m * k + r];
         }
         st[SCORED] += m;
         distances += m * n;

@@ -34,8 +34,8 @@ COMPILE_SECONDS = 30.0
 
 
 def load():
-    """The library as a ctypes.CDLL with its block_totals, rescan,
-    eager_next and parse_csv typed, or None if it cannot be built or
+    """The library as a ctypes.CDLL with its block_totals, best_swap,
+    rescan, eager_next and parse_csv typed, or None if it cannot be built or
     loaded. Every array argument is the address of a C-ordered array;
     _scan.c gives their types."""
     try:
@@ -55,11 +55,13 @@ def load():
             library = ctypes.CDLL(str(path))
         ssize, address = ctypes.c_ssize_t, ctypes.c_void_p
         library.block_totals.restype = None
-        library.block_totals.argtypes = [ssize] * 3 + [address] * 12
+        library.block_totals.argtypes = [ssize] * 3 + [address] * 13
+        library.best_swap.restype = ssize
+        library.best_swap.argtypes = [ssize] * 3 + [address] * 13
         library.rescan.restype = ssize
         library.rescan.argtypes = [ssize] * 3 + [address] * 13
         library.eager_next.restype = ssize
-        library.eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 14
+        library.eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 15
         library.parse_csv.restype = ssize
         library.parse_csv.argtypes = [address, ssize, address, address]
     except (OSError, AttributeError):

@@ -28,9 +28,12 @@ The key pieces:
   the next block; ``cli.main`` raises both thresholds at start. On a C
   state a loop of ``_scan.c`` that allocates only its output computes the
   same bits, and the numpy body is its fallback and its reference.
-* ``find_best_swap``: one O((n-k) n) pass in blocks, then one argmax. A
-  fork and its pickle cost 4-5 ms, so ``workers`` split only a pass from
-  2 * ``SHARE_DISTANCES`` distances (n near 1,450).
+* ``find_best_swap``: one O((n-k) n) pass, then one argmax. A fork and
+  its pickle cost 4-5 ms, so ``workers`` split only a pass from
+  2 * ``SHARE_DISTANCES`` distances (n near 1,450). Numpy scores a share
+  in blocks; on a C state one ``best_swap`` call of ``_scan.c`` scores the
+  share and returns its first best swap, and the first best over the
+  shares in order is the pass's.
 * ``_swap_if_sum_rises``: a scored swap is kept and counted only if the
   fresh ``ams_sum`` rises by more than ``EPS_GAIN`` (pammedsil's rule),
   else it is swapped back. The scan totals round differently, and from n
@@ -97,7 +100,8 @@ class OptimizerState:
     r12: np.ndarray = field(repr=False)
     r13: np.ndarray = field(repr=False)
     r23: np.ndarray = field(repr=False)
-    work: np.ndarray = field(repr=False)  # k doubles for the C rescan
+    work: np.ndarray = field(repr=False)  # 2 k + 1 doubles for the C rescan and best_swap
+    idx: np.ndarray = field(repr=False)  # n intp for the near points of a C-scored row
     addresses: tuple | None = field(repr=False)  # see make_state
     swaps: int = 0
     iterations: int = 0
@@ -120,7 +124,7 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
     that _scan.c reads; every later operation writes them in place. So
     the table for C is taken once: (the library of core.compiled; n1, n2,
     matrix, d1, d2, d3, r12, r13, r23 and removal_loss in block_totals'
-    order; medoids; work; is_medoid). It is None, and numpy scores the
+    order; medoids; work; is_medoid; idx). It is None, and numpy scores the
     state for its whole life, where the library did not load or the
     matrix is not C-ordered float64 (a Fortran-ordered or strided view).
     """
@@ -129,15 +133,16 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[medoids] = True
     c = nearest_three_all(matrix, medoids)
-    removal_loss, work = np.empty(k), np.empty(k)
+    removal_loss, work = np.empty(k), np.empty(2 * k + 1)
     r12, r13, r23 = np.empty(n), np.empty(n), np.empty(n)
+    idx = np.empty(n, dtype=np.intp)
     library, addresses = compiled(), None
     if library is not None and matrix.dtype == np.float64 and matrix.flags.c_contiguous:
         scan = (c.n1, c.n2, matrix, c.d1, c.d2, c.d3, r12, r13, r23, removal_loss)
         addresses = (library, tuple(a.ctypes.data for a in scan), medoids.ctypes.data,
-                     work.ctypes.data, is_medoid.ctypes.data)
+                     work.ctypes.data, is_medoid.ctypes.data, idx.ctypes.data)
     state = OptimizerState(matrix, medoids, is_medoid, c, removal_loss, r12, r13, r23, work,
-                           addresses)
+                           idx, addresses)
     _refresh_derived(state)
     return state
 
@@ -171,11 +176,10 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     c = state.cache
     n = len(state.matrix)
     m, k = len(J), state.k
-    if (state.addresses is not None and _kernel_reads(J)
-            and (m == 0 or 0 <= J.min() <= J.max() < n)):
+    if _compiled_reads(state, J):
         out = np.empty(m * k + m + k)
-        library, scan = state.addresses[:2]
-        library.block_totals(n, m, k, J.ctypes.data, *scan, out.ctypes.data)
+        library, scan, *_, idx = state.addresses
+        library.block_totals(n, m, k, J.ctypes.data, *scan, idx, out.ctypes.data)
         return out[:m * k].reshape(m, k), out[m * k:m * k + m]
     rows = state.matrix[J]
     # flat indices of the near pairs, row-major: candidate r, point p
@@ -209,24 +213,40 @@ def _kernel_reads(a: np.ndarray) -> bool:
     return a.dtype == np.intp and a.ndim == 1 and a.flags.c_contiguous
 
 
+def _compiled_reads(state: OptimizerState, J: np.ndarray) -> bool:
+    """Whether C scores the candidates J: the state has a table for C, and J
+    is a C-ordered intp vector of rows in range."""
+    return (state.addresses is not None and _kernel_reads(J)
+            and (len(J) == 0 or 0 <= J.min() <= J.max() < len(state.matrix)))
+
+
 def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
     """block_totals for the single candidate j: (acc[k], shared)."""
     acc, shared = block_totals(state, np.array([j]))
     return acc[0], float(shared[0])
 
 
-def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best medoid position of each candidate in J (the first argmax; the
-    shared gain is constant across positions) and its total gain."""
+def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(positions, candidates, totals): each candidate in J with its best
+    medoid position (the first argmax; the shared gain is constant across
+    positions) and its total gain. Where C scores more than one candidate,
+    only the first best of J, the one np.argmax over the totals picks,
+    from one best_swap call of _scan.c."""
     if len(J) == 1:
         # the one-row entry point, so per-candidate instrumentation of
         # candidate_totals still sees single-candidate scans
         acc, shared = candidate_totals(state, int(J[0]))
         acc, shared = acc[None], np.array([shared])
+    elif _compiled_reads(state, J):
+        library, scan, _, work, _, idx = state.addresses
+        k = state.k
+        r, i = divmod(library.best_swap(len(state.matrix), len(J), k, J.ctypes.data, *scan,
+                                        idx, work), k)
+        return np.array([i]), J[r:r + 1], np.array([state.work[2 * k]])
     else:
         acc, shared = block_totals(state, J)
     pos = acc.argmax(axis=1)
-    return pos, acc[np.arange(len(J)), pos] + shared
+    return pos, J, acc[np.arange(len(J)), pos] + shared
 
 
 def find_best_swap(state: OptimizerState, workers: int = 1) -> tuple[int, int, float] | None:
@@ -239,18 +259,22 @@ def find_best_swap(state: OptimizerState, workers: int = 1) -> tuple[int, int, f
     positions); ties break toward the lower position, and the earliest
     candidate wins among equal totals. A candidate's total does not depend
     on its block, so min(workers, (n-k) n // SHARE_DISTANCES) shares agree.
+    Numpy scores a share in blocks of block_rows(n) candidates, and C in
+    one block, whose first best it alone returns: np.argmax over the
+    shares' bests in order picks the first best of the pass either way.
     """
     candidates = (~state.is_medoid).nonzero()[0]
-    width = block_rows(len(state.matrix))
-    count = min(workers, candidates.size * len(state.matrix) // SHARE_DISTANCES)
+    n = len(state.matrix)
+    width = block_rows(n) if state.addresses is None else len(candidates)
+    count = min(workers, candidates.size * n // SHARE_DISTANCES)
     blocks = run_shares(lambda share: [_best_positions(state, share[s:s + width])
                                        for s in range(0, len(share), width)],
                         candidates, count)
-    pos, totals = (np.concatenate(col) for col in zip(*blocks))
+    pos, cand, totals = (np.concatenate(col) for col in zip(*blocks))
     b = int(np.argmax(totals))
     if totals[b] <= EPS_GAIN:
         return None
-    return int(pos[b]), int(candidates[b]), float(totals[b])
+    return int(pos[b]), int(cand[b]), float(totals[b])
 
 
 def update_caches_after_swap(state: OptimizerState, position: int, replacement: int) -> None:
@@ -289,7 +313,7 @@ def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
     derived from the cache: by rescan of _scan.c on a state with a table
     for C, else with numpy, in place and in the same bits."""
     if state.addresses is not None and _kernel_reads(idx):
-        library, scan, medoids, work, _ = state.addresses
+        library, scan, medoids, work, _, _ = state.addresses
         if library.rescan(len(state.matrix), state.k, len(idx), idx.ctypes.data, *scan,
                           medoids, work) == 0:
             return
@@ -389,7 +413,7 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
             j = 0
         stop = min(j + width, n, j + n - visited)
         J = j + (~state.is_medoid[j:stop]).nonzero()[0]
-        pos, totals = _best_positions(state, J)
+        pos, _, totals = _best_positions(state, J)
         for h in (totals > EPS_GAIN).nonzero()[0]:
             after = _swap_if_sum_rises(state, int(pos[h]), int(J[h]), current)
             if after is not None:
@@ -416,15 +440,15 @@ def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
     J = np.empty(2 * cap, dtype=np.intp)
     out = np.empty(cap * (k + 1) + k)
     buffers = machine.ctypes.data, J.ctypes.data, out.ctypes.data
-    library, scan, _, _, is_medoid = state.addresses
+    library, scan, _, _, is_medoid, idx = state.addresses
     current = state.ams_sum
     while True:
-        code = library.eager_next(n, k, EPS_GAIN, *scan, is_medoid, *buffers)
+        code = library.eager_next(n, k, EPS_GAIN, *scan, is_medoid, idx, *buffers)
         state.iterations = int(machine[PASSES])
         if code in (CONVERGED, OUT_OF_PASSES):
             return code == CONVERGED
         if code == ONE_CANDIDATE:
-            pos, totals = _best_positions(state, J[:1])
+            pos, _, totals = _best_positions(state, J[:1])
             if not totals[0] > EPS_GAIN:
                 continue
             position = pos[0]

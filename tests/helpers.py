@@ -13,7 +13,7 @@ import pytest
 from msclust import build_matrix, core, pool
 
 fm = importlib.import_module("msclust.fastmsc")
-C_FUNCTIONS = ("block_totals", "rescan", "eager_next", "parse_csv")
+C_FUNCTIONS = ("block_totals", "best_swap", "rescan", "eager_next", "parse_csv")
 
 LINE_POINTS = [[0.0], [1.0], [10.0], [11.0]]
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msclust import build_matrix, core, cscan, dynmsc, fastermsc, fastmsc, init_random
+from msclust import build_matrix, core, cscan, dynmsc, fastermsc, fastmsc, init_random, pool
 from msclust.fastmsc import make_state
 
 from helpers import REFUSING, assert_no_child_left, counting, scan_on, uniform_instance
@@ -28,13 +28,32 @@ dynmsc_module = importlib.import_module("msclust.dynmsc")
 
 
 @st.composite
+def stacks(draw):
+    """(matrix, medoids): points stacked at 0 and at 1 on a line, every
+    medoid at 0. From k = 3 a candidate row at 0 has no near point (each
+    d(o, j) equals d3(o)) and one at 1 has the points at 1, about half; at
+    k = 2 (d3 = inf) every point is near. Each stack's rows are equal, so
+    their totals tie."""
+    n = draw(st.integers(4, 40))
+    k = draw(st.integers(2, min(8, n - 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    order = rng.permutation(n)  # the point at i is point order[i] of the stacks
+    at = np.r_[np.zeros(k), rng.integers(0, 2, n - k)]
+    return build_matrix(at[order, None]), np.argsort(order)[:k]
+
+
+@st.composite
 def scan_inputs(draw):
     """(state, J): few distinct values, duplicate points and zero blocks,
-    integer points under Manhattan, or uniform points; every zero made
-    -0.0 or not; k from 2 (d3 = inf); all candidates or a run of them."""
-    kind = draw(st.sampled_from(["awkward", "manhattan", "uniform"]))
+    integer points under Manhattan, uniform points, or stacks; every zero
+    made -0.0 or not; k from 2 (d3 = inf); all candidates or a run of
+    them."""
+    kind = draw(st.sampled_from(["awkward", "manhattan", "uniform", "stacks"]))
+    medoids = None
     if kind == "awkward":
         matrix = draw(awkward_matrices(min_n=3))
+    elif kind == "stacks":
+        matrix, medoids = draw(stacks())
     else:
         n = draw(st.integers(3, 40))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -43,8 +62,10 @@ def scan_inputs(draw):
     if draw(st.booleans()):
         matrix[matrix == 0] = -0.0
     n = len(matrix)
-    k = draw(st.integers(2, min(8, n - 1)))
-    state = make_state(matrix, init_random(n, k, draw(st.integers(0, 2**16))))
+    if medoids is None:
+        k = draw(st.integers(2, min(8, n - 1)))
+        medoids = init_random(n, k, draw(st.integers(0, 2**16)))
+    state = make_state(matrix, medoids)
     J = np.flatnonzero(~state.is_medoid)
     start = draw(st.integers(0, len(J) - 1))
     return state, J[start:draw(st.integers(start + 1, len(J)))]
@@ -65,6 +86,34 @@ def test_the_kernel_gives_the_numpy_bits(kernel, inputs):
     for got, want in zip(compiled, scores(state, J, "numpy")[0]):
         assert_same_bits(got, want)
     assert calls == {"block_totals": 1}
+
+
+def swap_bits(swap):
+    return swap and (swap[:2], swap[2].hex())
+
+
+@settings(deadline=None, max_examples=100)
+@given(scan_inputs())
+def test_the_compiled_pass_finds_the_numpy_swap(kernel, inputs):
+    # with SHARE_DISTANCES = 1 a pass splits into min(workers, n - k) shares,
+    # each scored by one best_swap call, or one block_totals call for a share
+    # of one candidate; duplicated points tie across shares, and the first
+    # wins. The shares run here, unforked, so that every C call is counted
+    # (tests/test_scan_split.py forks them)
+    base, _ = inputs
+    with scan_on("numpy"):
+        want = swap_bits(fm.find_best_swap(make_state(base.matrix, base.medoids)))
+    candidates = len(base.matrix) - base.k
+    for workers in (1, 2, 3):
+        with scan_on("compiled", kernel) as calls, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "SHARE_DISTANCES", 1)
+            mp.setattr(pool, "_fork_share", lambda fn, share: None)
+            state = make_state(base.matrix, base.medoids)
+            assert swap_bits(fm.find_best_swap(state, workers)) == want
+        size, extra = divmod(candidates, min(workers, candidates))
+        shares = [size + 1] * extra + [size] * (min(workers, candidates) - extra)
+        assert calls == collections.Counter("best_swap" if m > 1 else "block_totals"
+                                            for m in shares)
 
 
 @pytest.mark.parametrize("data", ["uniform", "tied", "blobs"])
@@ -321,7 +370,7 @@ def addresses(state):
     scan = (c.n1, c.n2, state.matrix, c.d1, c.d2, c.d3, state.r12, state.r13, state.r23,
             state.removal_loss)
     return (tuple(a.ctypes.data for a in scan), state.medoids.ctypes.data,
-            state.work.ctypes.data, state.is_medoid.ctypes.data)
+            state.work.ctypes.data, state.is_medoid.ctypes.data, state.idx.ctypes.data)
 
 
 @settings(deadline=None, max_examples=100)
@@ -329,8 +378,10 @@ def addresses(state):
 def test_the_address_table_stays_live(kernel, inputs, read_only, data):
     # make_state allocates every array, and on the compiled path takes their
     # table for C once; a swap kept or undone, a full rescan, every removal
-    # down to k = 2 and the optimizers' runs must write the same buffers on
-    # both paths. A read-only matrix is still scored by C.
+    # down to k = 2, a steepest pass after them (best_swap's work and index
+    # buffers were sized at the first k and n) and the optimizers' runs must
+    # write the same buffers on both paths. A read-only matrix is still
+    # scored by C.
     matrix, m0 = inputs
     matrix.flags.writeable = not read_only
     n, k = len(matrix), len(m0)
@@ -350,17 +401,18 @@ def test_the_address_table_stays_live(kernel, inputs, read_only, data):
             assert (state.addresses is None if path == "numpy"
                     else state.addresses[1:] == taken[id(state)])
 
-        def checked(rescan):
-            """rescan, after asserting the table: a stale address fails
-            here, before C reads it."""
+        def checked(call):
+            """call, a rescan or a scan, after asserting the table: a stale
+            address fails here, before C reads it."""
             def wrapper(state, idx):
                 live(state)
-                rescan(state, idx)
+                return call(state, idx)
             return wrapper
 
         with scan_on(path, kernel) as calls, pytest.MonkeyPatch.context() as mp:
             mp.setattr(fm, "_rescan", checked(fm._rescan))
             mp.setattr(dynmsc_module, "_rescan", checked(dynmsc_module._rescan))
+            mp.setattr(fm, "_best_positions", checked(fm._best_positions))
             state = made(matrix, m0)
             live(state)
             assert fm._swap_if_sum_rises(state, position, replacement, np.inf) is None
@@ -372,11 +424,15 @@ def test_the_address_table_stays_live(kernel, inputs, read_only, data):
             for drop in drops:
                 dynmsc_module.remove_medoid(state, drop)
                 live(state)
+            fm.find_best_swap(state)
+            live(state)
             mp.setattr(fm, "make_state", made)
             fastmsc(matrix, m0, max_iter=3)
             fm._fastermsc_state(states[1], 3)
             live(states[1])
-        assert path == "numpy" or (calls["rescan"] > 0 and calls["block_totals"] > 0)
+        # a steepest pass over two or more candidates is one best_swap call
+        assert path == "numpy" or (calls["rescan"] > 0
+                                   and calls["best_swap" if n > 3 else "block_totals"] > 0)
 
 
 def test_the_eager_loop_returns_once_per_distance_budget(kernel, monkeypatch):

@@ -18,6 +18,7 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 # tests stay out, as they run stand-in compilers and patch the cache themselves
 SUBSET = [
     "tests/test_compiled_scan.py::test_the_kernel_gives_the_numpy_bits",
+    "tests/test_compiled_scan.py::test_the_compiled_pass_finds_the_numpy_swap",
     "tests/test_compiled_scan.py::test_both_paths_make_the_same_runs",
     "tests/test_compiled_scan.py::test_the_compiled_eager_loop_makes_the_numpy_runs",
     "tests/test_compiled_scan.py::test_the_c_rescan_gives_the_numpy_bits",

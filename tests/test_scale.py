@@ -2,8 +2,9 @@
 numpy paths make the same runs, field for field, and fastmsc makes
 pammedsil's swaps. The property tests draw a few dozen points at most,
 while some defects, such as a duplicate's zero gain that the scan totals
-round above EPS_GAIN, show only from n near 2000. Deterministic, and
-about 20 s on a 2-CPU box."""
+round above EPS_GAIN, show only from n near 2000. On the duplicate grid
+many candidates tie in every share of a split pass, so the first best
+across shares must win. Deterministic, and about 25 s on a 2-CPU box."""
 
 import numpy as np
 import pytest
@@ -11,19 +12,26 @@ import pytest
 from msclust import build_matrix, dynmsc, fastermsc, fastmsc, init_random
 from msclust.naive import pammedsil
 
-from helpers import assert_no_child_left, scan_on
+from helpers import assert_no_child_left, duplicate_grid, scan_on
 from test_scan_split import forks  # noqa: F401
 
 N = 2000
 
 
-@pytest.fixture(scope="module", params=["uniform", "grid"])
+MATRICES = {
+    "uniform": lambda: build_matrix(np.random.default_rng(2000).random((N, 2))),
+    "grid": lambda: build_matrix(np.random.default_rng(2001).integers(0, 20, (N, 2)),
+                                 metric="manhattan"),
+    "duplicates": duplicate_grid,
+}
+
+
+@pytest.fixture(scope="module", params=list(MATRICES))
 def matrix(request):
-    """Uniform points in the unit square, or points of a 20 x 20 integer
-    grid under Manhattan: many duplicates and many equal distances."""
-    if request.param == "uniform":
-        return build_matrix(np.random.default_rng(2000).random((N, 2)))
-    return build_matrix(np.random.default_rng(2001).integers(0, 20, (N, 2)), metric="manhattan")
+    """Uniform points in the unit square; points of a 20 x 20 integer grid
+    under Manhattan, with many duplicates and many equal distances; or the
+    2000 points of a 6 x 6 grid, each with some 55 exact duplicates."""
+    return MATRICES[request.param]()
 
 
 def fields(result):
@@ -54,19 +62,24 @@ def test_both_paths_make_the_same_run(kernel, matrix, run, forks):
 
 
 @pytest.fixture(scope="module")
-def steepest_start():
-    """Uniform points, k = 3 random medoids, and pammedsil's two swaps."""
-    matrix = build_matrix(np.random.default_rng(2000).random((N, 2)))
-    m0 = init_random(N, 3, seed=4)
-    return matrix, m0, fields(pammedsil(matrix, m0, max_iter=2))
+def steepest_starts():
+    """On uniform points and on the duplicate grid: the matrix, k = 3
+    random medoids, and pammedsil's two swaps."""
+    starts = []
+    for data in ("uniform", "duplicates"):
+        matrix = MATRICES[data]()
+        m0 = init_random(N, 3, seed=4)
+        starts.append((matrix, m0, fields(pammedsil(matrix, m0, max_iter=2))))
+    return starts
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_fastmsc_makes_pammedsil_swaps(kernel, steepest_start, workers, forks):
-    matrix, m0, want = steepest_start
-    with scan_on("compiled", kernel) as calls:
-        fast = fastmsc(matrix, m0, max_iter=2, workers=workers)
-    assert calls["block_totals"] > 0
-    assert (len(forks) > 0) == (workers == 2)
-    assert fields(fast) == want and fast.swaps == 2
+def test_fastmsc_makes_pammedsil_swaps(kernel, steepest_starts, workers, forks):
+    for matrix, m0, want in steepest_starts:
+        del forks[:]
+        with scan_on("compiled", kernel) as calls:
+            fast = fastmsc(matrix, m0, max_iter=2, workers=workers)
+        assert calls["best_swap"] > 0
+        assert (len(forks) > 0) == (workers == 2)
+        assert fields(fast) == want and fast.swaps == 2
     assert_no_child_left()
