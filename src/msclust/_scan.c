@@ -1,7 +1,7 @@
 /* The swap-candidate scan of msclust.fastmsc, in C: block_totals; best_swap,
    one share of fastmsc.find_best_swap's steepest pass; the neighbour rescan
-   of fastmsc._rescan; and eager_next, the block loop of
-   fastmsc._fastermsc_state; and parse_csv, the strict CSV reader of
+   of fastmsc._rescan; eager_next, the loop of fastmsc._fastermsc_state,
+   one candidate at a time; and parse_csv, the strict CSV reader of
    core._parse_csv_rows.
 
    Each does the float64 operations of the numpy body in the same order, so
@@ -181,57 +181,34 @@ ptrdiff_t rescan(ptrdiff_t n, ptrdiff_t k, ptrdiff_t count, const ptrdiff_t *idx
 }
 
 /* The fields of eager_next's state vector, and what it returns. */
-enum { J0, STOP, VISITED, WIDTH, ROW, ROWS, PASSES, LAST_PASS, CAP, RESUME, KEPT, POSITION,
-       CANDIDATE, SCORED, BUDGET };
+enum { J0, VISITED, PASSES, LAST_PASS, KEPT, POSITION, CANDIDATE, SCORED, BUDGET };
 enum { CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED };
 
-/* fastmsc._fastermsc_state's block loop, resumed from the state vector st:
-   block [J0, STOP) of width WIDTH, VISITED positions since the last swap,
-   the next row ROW of the block's ROWS scored rows (-1 before a block),
-   PASSES started of LAST_PASS, and widths from 1 up to CAP, RESUME after a
-   swap. The caller sets KEPT after keeping the swap of CANDIDATE; SCORED
-   counts the rows scored here. It returns
-   - IMPROVES: row ROW - 1, CANDIDATE at POSITION, totals above eps; the
-     caller tries that swap with the fresh sum, and a rejected swap leaves
-     the block's later totals as they were;
-   - ONE_CANDIDATE: the block holds only CANDIDATE, which the caller scores;
-   - PAUSED: the next block would take this call past BUDGET distances;
-   - CONVERGED or OUT_OF_PASSES: the run is over.
-   J holds 2 CAP intp (the block's candidates, then their best positions),
-   out CAP (k + 1) + k doubles (block_totals' output, the shared gains
-   replaced by the totals). */
+/* fastmsc._fastermsc_state's loop, one candidate at a time, resumed from
+   the state vector st: the next position J0, VISITED positions since the
+   last swap, and PASSES started of LAST_PASS. The caller sets KEPT after
+   keeping the swap of CANDIDATE; SCORED counts the rows scored here, each
+   by score_row into work (2 k doubles). It returns
+   - IMPROVES: CANDIDATE at POSITION totals above eps; the caller tries
+     that swap with the fresh sum;
+   - ONE_CANDIDATE: CANDIDATE is the run's first (CANDIDATE was -1), which
+     the caller scores;
+   - PAUSED: the next row would take this call past BUDGET distances;
+   - CONVERGED or OUT_OF_PASSES: the run is over. */
 ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
                      const ptrdiff_t *n2, const double *matrix, const double *d1,
                      const double *d2, const double *d3, const double *r12, const double *r13,
                      const double *r23, const double *removal_loss,
-                     const unsigned char *is_medoid, ptrdiff_t *idx, ptrdiff_t *st, ptrdiff_t *J,
-                     double *out)
+                     const unsigned char *is_medoid, ptrdiff_t *idx, ptrdiff_t *st,
+                     double *work)
 {
-    ptrdiff_t j = st[J0], stop = st[STOP], visited = st[VISITED], width = st[WIDTH];
-    ptrdiff_t row = st[ROW], m = st[ROWS], cap = st[CAP], distances = 0, code;
+    ptrdiff_t j = st[J0], visited = st[VISITED], distances = 0, code;
     if (st[KEPT]) {
         st[KEPT] = 0;
-        width = st[RESUME];
         visited = 1;
         j = st[CANDIDATE] + 1;
-        row = -1;
     }
-    for (;;) {
-        if (row >= 0) {
-            double *totals = out + m * k;
-            while (row < m && !(totals[row] > eps))
-                row++;
-            if (row < m) {
-                st[POSITION] = J[cap + row];
-                st[CANDIDATE] = J[row++];
-                code = IMPROVES;
-                break;
-            }
-            width = 2 * width < cap ? 2 * width : cap;
-            visited += stop - j;
-            j = stop;
-            row = -1;
-        }
+    for (;; j++, visited++) {
         if (visited >= n) {
             code = CONVERGED;
             break;
@@ -244,39 +221,31 @@ ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
             st[PASSES]++;
             j = 0;
         }
-        stop = j + width < n ? j + width : n;
-        stop = stop < j + n - visited ? stop : j + n - visited;
-        m = 0;
-        for (ptrdiff_t p = j; p < stop; p++)
-            if (!is_medoid[p])
-                J[m++] = p;
-        if (m == 1) {
-            st[CANDIDATE] = J[0];
-            row = 1;
+        if (is_medoid[j])
+            continue;
+        if (st[CANDIDATE] < 0) {
             code = ONE_CANDIDATE;
-            break;
+        } else {
+            if (distances > 0 && distances + n > st[BUDGET]) {
+                code = PAUSED; /* the next call scores this row */
+                break;
+            }
+            double s = score_row(n, k, matrix + j * n, n1, n2, d1, d2, d3, r12, r13, r23,
+                                 removal_loss, idx, work, work + k);
+            ptrdiff_t i = first_best(work, k);
+            st[SCORED]++;
+            distances += n;
+            if (!(work[i] + s > eps))
+                continue;
+            st[POSITION] = i;
+            code = IMPROVES;
         }
-        if (distances > 0 && distances + m * n > st[BUDGET]) {
-            code = PAUSED; /* the next call makes this block again */
-            break;
-        }
-        row = 0;
-        block_totals(n, m, k, J, n1, n2, matrix, d1, d2, d3, r12, r13, r23, removal_loss, idx,
-                     out);
-        for (ptrdiff_t r = 0; r < m; r++) {
-            ptrdiff_t best = first_best(out + r * k, k);
-            J[cap + r] = best;
-            out[m * k + r] = out[r * k + best] + out[m * k + r];
-        }
-        st[SCORED] += m;
-        distances += m * n;
+        st[CANDIDATE] = j++;
+        visited++;
+        break;
     }
     st[J0] = j;
-    st[STOP] = stop;
     st[VISITED] = visited;
-    st[WIDTH] = width;
-    st[ROW] = row;
-    st[ROWS] = m;
     return code;
 }
 

@@ -61,7 +61,7 @@ def load():
         library.rescan.restype = ssize
         library.rescan.argtypes = [ssize] * 3 + [address] * 13
         library.eager_next.restype = ssize
-        library.eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 15
+        library.eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 14
         library.parse_csv.restype = ssize
         library.parse_csv.argtypes = [address, ssize, address, address]
     except (OSError, AttributeError):

