@@ -1,8 +1,9 @@
-/* The swap-candidate scan of msclust.fastmsc, in C: block_totals; best_swap,
-   one share of fastmsc.find_best_swap's steepest pass; the neighbour rescan
-   of fastmsc._rescan; eager_next, the loop of fastmsc._fastermsc_state,
-   one candidate at a time; and parse_csv, the strict CSV reader of
-   core._parse_csv_rows.
+/* The swap-candidate scan of msclust.fastmsc, in C: best_swap, one share
+   of fastmsc.find_best_swap's steepest pass; the neighbour rescan of
+   fastmsc._rescan; eager_next, the loop of fastmsc._fastermsc_state, one
+   candidate at a time; and parse_csv, the strict CSV reader of
+   core._parse_csv_rows. best_swap and eager_next score each candidate row
+   by score_row, which computes one row of fastmsc.block_totals.
 
    Each does the float64 operations of the numpy body in the same order, so
    it returns the same bits: each candidate row's near points (d(o, j) <
@@ -85,23 +86,9 @@ static ptrdiff_t first_best(const double *acc, ptrdiff_t k)
     return best;
 }
 
-/* The totals of the m candidates J, each a row of the n x n matrix: out
-   receives acc (m x k), then shared (m), then k doubles of work, which
-   hold the n2 bins of one row. idx holds n intp for score_row. */
-void block_totals(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const ptrdiff_t *J,
-                  const ptrdiff_t *n1, const ptrdiff_t *n2, const double *matrix,
-                  const double *d1, const double *d2, const double *d3, const double *r12,
-                  const double *r13, const double *r23, const double *removal_loss,
-                  ptrdiff_t *idx, double *restrict out)
-{
-    for (ptrdiff_t r = 0; r < m; r++)
-        out[m * k + r] = score_row(n, k, matrix + J[r] * n, n1, n2, d1, d2, d3, r12, r13, r23,
-                                   removal_loss, idx, out + r * k, out + m * k + m);
-}
-
 /* fastmsc.find_best_swap's pass over the m candidates J, one share of it:
    each row's best position (first_best of its totals without the shared
-   gain) and total, which is acc + shared as in block_totals. Returns
+   gain) and total, acc + shared in fastmsc.block_totals' terms. Returns
    r k + i for the first best total over J in order, np.argmax's rule, at
    position i of candidate J[r], and writes that total to work[2 k]; work
    holds 2 k + 1 doubles, idx n intp. */

@@ -118,6 +118,8 @@ def _run_restarts(matrix: np.ndarray, args, restarts: int) -> list:
 def cmd_cluster(args) -> str:
     _require_at_least(1, restarts=args.restarts, max_iter=args.max_iter)
     _require_at_least(0, seed=args.seed)
+    if args.restarts > sys.maxsize:  # the longest range that len() can take
+        raise ConfigError(f"--restarts must be at most {sys.maxsize}, got {args.restarts}")
     matrix = _load_matrix(args)
 
     restarts = args.restarts if args.init == "random" else 1

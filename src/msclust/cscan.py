@@ -1,5 +1,6 @@
-"""The compiled form of fastmsc's scan and of core's CSV reader: _scan.c,
-built by the system C compiler on first use and loaded with ctypes.
+"""The compiled form of fastmsc's steepest pass, eager loop and rescan and
+of core's CSV reader: _scan.c, built by the system C compiler on first use
+and loaded with ctypes.
 
 ``load`` compiles the source once into the package's ``__pycache__``,
 under a name keyed by the SHA-256 of the source and the flags, so a
@@ -34,10 +35,10 @@ COMPILE_SECONDS = 30.0
 
 
 def load():
-    """The library as a ctypes.CDLL with its block_totals, best_swap,
-    rescan, eager_next and parse_csv typed, or None if it cannot be built or
-    loaded. Every array argument is the address of a C-ordered array;
-    _scan.c gives their types."""
+    """The library as a ctypes.CDLL with its best_swap, rescan, eager_next
+    and parse_csv typed, or None if it cannot be built or loaded. Every
+    array argument is the address of a C-ordered array; _scan.c gives their
+    types."""
     try:
         source = SOURCE.read_bytes()
         key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
@@ -54,8 +55,6 @@ def load():
             _build(path)
             library = ctypes.CDLL(str(path))
         ssize, address = ctypes.c_ssize_t, ctypes.c_void_p
-        library.block_totals.restype = None
-        library.block_totals.argtypes = [ssize] * 3 + [address] * 13
         library.best_swap.restype = ssize
         library.best_swap.argtypes = [ssize] * 3 + [address] * 13
         library.rescan.restype = ssize

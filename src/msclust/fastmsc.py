@@ -14,7 +14,7 @@ The key pieces:
   ``silhouette.medoid_result`` does. ``make_state`` also fixes which path
   scores the state for its whole life: C where ``core.compiled`` gave the
   library and the matrix is C-ordered float64, else numpy.
-* ``block_totals``: the scan kernel. For a block of candidates it
+* ``block_totals``: the numpy scan. For a block of candidates it
   combines the removal losses, the shared gain of adding each candidate,
   and correction terms for points whose nearest or second-nearest
   medoid is replaced, in whole-array passes over the (candidate, point)
@@ -26,8 +26,9 @@ The key pieces:
   or twice the largest freed mmapped chunk once it adapts), so the heap
   a block frees would go back to the system and be faulted in again by
   the next block; ``cli.main`` raises both thresholds at start. On a C
-  state a loop of ``_scan.c`` that allocates only its output computes the
-  same bits, and the numpy body is its fallback and its reference.
+  state it scores only each eager run's first candidate; ``score_row`` of
+  ``_scan.c`` gives every other row the same bits, and this body is its
+  fallback and its reference.
 * ``find_best_swap``: one O((n-k) n) pass, then one argmax. A fork and
   its pickle cost 4-5 ms, so ``workers`` split only a pass from
   2 * ``SHARE_DISTANCES`` distances (n near 1,450). Numpy scores a share
@@ -45,7 +46,7 @@ The key pieces:
   improving swap immediately while cycling over candidates. Numpy scores
   them in blocks that give the swap sequence of scoring one candidate at
   a time (``_fastermsc_state``); on a C state ``eager_next`` of
-  ``_scan.c`` scores one candidate at a time.
+  ``_scan.c`` scores one candidate at a time, all but each run's first.
 
 All delta values are gains in the unnormalized silhouette sum; division
 by n happens only at reporting boundaries. The scalar per-point delta
@@ -123,7 +124,7 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
     Only here are the state's arrays allocated, C-ordered in the dtypes
     that _scan.c reads; every later operation writes them in place. So
     the table for C is taken once: (the library of core.compiled; n1, n2,
-    matrix, d1, d2, d3, r12, r13, r23 and removal_loss in block_totals'
+    matrix, d1, d2, d3, r12, r13, r23 and removal_loss in best_swap's
     order; medoids; work; is_medoid; idx). It is None, and numpy scores the
     state for its whole life, where the library did not load or the
     matrix is not C-ordered float64 (a Fortran-ordered or strided view).
@@ -168,19 +169,12 @@ def block_totals(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, np.n
     points. Only pairs with d(o, j) < d3(o) contribute; the rest are in
     the far-far case, whose delta is zero.
 
-    The block_totals of _scan.c returns the same bits. It runs on a state
-    with a table for C, where J is a C-ordered intp vector in range;
-    otherwise the numpy body below runs, which is also the reference that
-    the tests hold it to.
+    It runs in numpy on either path: score_row of _scan.c gives a row's
+    same bits, and the tests hold it to this body.
     """
     c = state.cache
     n = len(state.matrix)
     m, k = len(J), state.k
-    if _compiled_reads(state, J):
-        out = np.empty(m * k + m + k)
-        library, scan, *_, idx = state.addresses
-        library.block_totals(n, m, k, J.ctypes.data, *scan, idx, out.ctypes.data)
-        return out[:m * k].reshape(m, k), out[m * k:m * k + m]
     rows = state.matrix[J]
     # flat indices of the near pairs, row-major: candidate r, point p
     flat = (rows < c.d3).ravel().nonzero()[0]
@@ -229,20 +223,20 @@ def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
 def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, ...]:
     """(positions, candidates, totals): each candidate in J with its best
     medoid position (the first argmax; the shared gain is constant across
-    positions) and its total gain. Where C scores more than one candidate,
-    only the first best of J, the one np.argmax over the totals picks,
-    from one best_swap call of _scan.c."""
-    if len(J) == 1:
-        # the one-row entry point, so per-candidate instrumentation of
-        # candidate_totals still sees single-candidate scans
-        acc, shared = candidate_totals(state, int(J[0]))
-        acc, shared = acc[None], np.array([shared])
-    elif _compiled_reads(state, J):
+    positions) and its total gain. Where C scores J, one candidate or
+    many, only the first best of J, the one np.argmax over the totals
+    picks, from one best_swap call of _scan.c."""
+    if _compiled_reads(state, J):
         library, scan, _, work, _, idx = state.addresses
         k = state.k
         r, i = divmod(library.best_swap(len(state.matrix), len(J), k, J.ctypes.data, *scan,
                                         idx, work), k)
         return np.array([i]), J[r:r + 1], np.array([state.work[2 * k]])
+    if len(J) == 1:
+        # the one-row entry point, so that per-candidate instrumentation of
+        # candidate_totals still sees single-candidate scans on numpy
+        acc, shared = candidate_totals(state, int(J[0]))
+        acc, shared = acc[None], np.array([shared])
     else:
         acc, shared = block_totals(state, J)
     pos = acc.argmax(axis=1)
@@ -434,10 +428,11 @@ def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
     the state vector machine and scores one candidate at a time. It
     returns here with a candidate whose total exceeds EPS_GAIN, which
     _swap_if_sum_rises keeps or undoes with the fresh sum; with the run's
-    first candidate, which candidate_totals scores only because
-    perfbench/test_perfbench.py::test_tracer_hooks_every_layer asserts that
-    it is called; after EAGER_DISTANCES distances, so that an interrupt is
-    seen; and at the end of the run."""
+    first candidate, the only one of a C state that numpy scores (in
+    candidate_totals, with C's bits): on a C host it is the call that
+    perfbench/test_perfbench.py::test_tracer_hooks_every_layer needs to
+    see; after EAGER_DISTANCES distances, so that an interrupt is seen;
+    and at the end of the run."""
     n, k = len(state.matrix), state.k
     library, scan, _, work, is_medoid, idx = state.addresses
     st = machine.ctypes.data
@@ -451,10 +446,10 @@ def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
             continue
         position = machine[POSITION]
         if code == ONE_CANDIDATE:
-            pos, _, totals = _best_positions(state, machine[CANDIDATE:CANDIDATE + 1])
-            if not totals[0] > EPS_GAIN:
+            acc, shared = candidate_totals(state, int(machine[CANDIDATE]))
+            position = acc.argmax()
+            if not acc[position] + shared > EPS_GAIN:
                 continue
-            position = pos[0]
         after = _swap_if_sum_rises(state, int(position), int(machine[CANDIDATE]), current)
         if after is not None:
             current = after

@@ -13,7 +13,7 @@ import pytest
 from msclust import build_matrix, core, pool
 
 fm = importlib.import_module("msclust.fastmsc")
-C_FUNCTIONS = ("block_totals", "best_swap", "rescan", "eager_next", "parse_csv")
+C_FUNCTIONS = ("best_swap", "rescan", "eager_next", "parse_csv")
 
 LINE_POINTS = [[0.0], [1.0], [10.0], [11.0]]
 
@@ -98,6 +98,6 @@ def scan_on(path, kernel=None):
             mp.setattr(core, "_library", counting(kernel, calls))
         else:
             mp.setattr(core, "_library", None)
-            mp.setattr(fm, "_kernel_reads", refuse)  # block_totals' and _rescan's gate
+            mp.setattr(fm, "_kernel_reads", refuse)  # _best_positions' and _rescan's gate
             mp.setattr(fm, "_eager_compiled", refuse)
         yield calls

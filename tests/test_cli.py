@@ -677,6 +677,8 @@ class TestExitCodes:
         (["sweep", "--k-max", "3", "--max-iter", "0"], "--max-iter"),
         (["cluster", "--k", "2", "--seed", "-3"], "--seed"),
         (["sweep", "--seed", "-3"], "--seed"),
+        (["cluster", "--k", "2", "--restarts", str(2**63)], "--restarts"),
+        (["cluster", "--k", "2", "--init", "build", "--restarts", str(2**63)], "--restarts"),
     ])
     def test_bad_budget_or_count(self, line_csv, capsys, argv, flag):
         rc = main(argv + ["--input", line_csv])

@@ -21,7 +21,8 @@ from msclust.fastmsc import make_state
 
 from helpers import REFUSING, assert_no_child_left, counting, scan_on, uniform_instance
 from test_properties import awkward_matrices
-from test_scan_kernel import assert_same_bits, blob_grid, reference_block_totals, tied_instance
+from test_scan_kernel import (assert_best_positions_match, assert_same_bits, blob_grid,
+                              reference_block_totals, tied_instance)
 
 fm = importlib.import_module("msclust.fastmsc")
 dynmsc_module = importlib.import_module("msclust.dynmsc")
@@ -71,21 +72,18 @@ def scan_inputs(draw):
     return state, J[start:draw(st.integers(start + 1, len(J)))]
 
 
-def scores(state, J, path, kernel=None):
-    """block_totals of J on a state made like state on the path, and the
-    counts of the C calls."""
-    with scan_on(path, kernel) as calls:
-        return fm.block_totals(make_state(state.matrix, state.medoids), J), calls
-
-
 @settings(deadline=None, max_examples=300)
 @given(scan_inputs())
 def test_the_kernel_gives_the_numpy_bits(kernel, inputs):
+    # a C state scores every candidate that Python hands it, one or many, by
+    # best_swap; a row's best position and total are all that the steepest
+    # pass and the eager loop use of its scores
     state, J = inputs
-    compiled, calls = scores(state, J, "compiled", kernel)
-    for got, want in zip(compiled, scores(state, J, "numpy")[0]):
-        assert_same_bits(got, want)
-    assert calls == {"block_totals": 1}
+    with scan_on("numpy"):
+        acc, shared = fm.block_totals(make_state(state.matrix, state.medoids), J)
+    with scan_on("compiled", kernel) as calls:
+        assert_best_positions_match(make_state(state.matrix, state.medoids), J, acc, shared)
+    assert calls == {"best_swap": len(J) + 1}  # each row alone, then J whole
 
 
 def swap_bits(swap):
@@ -96,9 +94,9 @@ def swap_bits(swap):
 @given(scan_inputs())
 def test_the_compiled_pass_finds_the_numpy_swap(kernel, inputs):
     # with SHARE_DISTANCES = 1 a pass splits into min(workers, n - k) shares,
-    # each scored by one best_swap call, or one block_totals call for a share
-    # of one candidate; duplicated points tie across shares, and the first
-    # wins. The shares run here, unforked, so that every C call is counted
+    # each scored by one best_swap call, a share of one candidate too;
+    # duplicated points tie across shares, and the first wins. The shares
+    # run here, unforked, so that every C call is counted
     # (tests/test_scan_split.py forks them)
     base, _ = inputs
     with scan_on("numpy"):
@@ -110,10 +108,7 @@ def test_the_compiled_pass_finds_the_numpy_swap(kernel, inputs):
             mp.setattr(pool, "_fork_share", lambda fn, share: None)
             state = make_state(base.matrix, base.medoids)
             assert swap_bits(fm.find_best_swap(state, workers)) == want
-        size, extra = divmod(candidates, min(workers, candidates))
-        shares = [size + 1] * extra + [size] * (min(workers, candidates) - extra)
-        assert calls == collections.Counter("best_swap" if m > 1 else "block_totals"
-                                            for m in shares)
+        assert calls == {"best_swap": min(workers, candidates)}
 
 
 @pytest.mark.parametrize("data", ["uniform", "tied", "blobs"])
@@ -277,7 +272,7 @@ def test_a_state_keeps_the_path_it_was_made_with(kernel, monkeypatch):
         if path == "numpy":
             assert not calls
     assert runs["numpy"] == runs["compiled"]
-    assert calls["block_totals"] > 0 and calls["rescan"] > 0 and calls[fm.CONVERGED] == 1
+    assert calls["best_swap"] > 0 and calls["rescan"] > 0 and calls[fm.CONVERGED] == 1
 
 
 def optimizer_runs(matrix, k, seed):
@@ -430,9 +425,8 @@ def test_the_address_table_stays_live(kernel, inputs, read_only, data):
             fastmsc(matrix, m0, max_iter=3)
             fm._fastermsc_state(states[1], 3)
             live(states[1])
-        # a steepest pass over two or more candidates is one best_swap call
-        assert path == "numpy" or (calls["rescan"] > 0
-                                   and calls["best_swap" if n > 3 else "block_totals"] > 0)
+        # a steepest pass is one best_swap call
+        assert path == "numpy" or (calls["rescan"] > 0 and calls["best_swap"] > 0)
 
 
 def test_the_eager_loop_returns_once_per_distance_budget(kernel, monkeypatch):

@@ -5,8 +5,8 @@ one masked pass per case, and ``reference_eager`` is the eager search
 that scores one candidate at a time. ``reference_block_totals`` is the
 block kernel as it was written before it was cut to fewer numpy calls,
 on the masked-divide ``reference_safe_ratio``. All are kept here as
-references only: the package scores every candidate through
-``block_totals``.
+references only: the package scores candidates through ``block_totals``,
+or on a compiled state through ``_scan.c``, which gives its bits.
 """
 
 import importlib
@@ -222,12 +222,30 @@ def test_block_totals_match_scalar_formula(kind, make, seed):
             assert abs(shared[r] - ref_shared) <= 1e-12
             one_acc, one_shared = fm.candidate_totals(state, int(j))
             assert np.array_equal(one_acc, acc[r]) and one_shared == shared[r]
+        assert_best_positions_match(state, J, acc, shared)
 
 
 def assert_same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_best_positions_match(state, J, acc, shared):
+    """_best_positions, on whichever path scores the state (best_swap on
+    a compiled one), gives the best swaps of the totals acc + shared: for
+    each row of J alone its first best position and that total's bits,
+    and for J whole its first best swap."""
+    pos = acc.argmax(axis=1)
+    totals = acc[np.arange(len(J)), pos] + shared
+    for r in range(len(J)):
+        got_pos, got_cand, got_total = fm._best_positions(state, J[r:r + 1])
+        assert (got_pos.tolist(), got_cand.tolist()) == ([pos[r]], [J[r]])
+        assert_same_bits(got_total, totals[r:r + 1])
+    got_pos, got_cand, got_totals = fm._best_positions(state, J)
+    g, b = int(np.argmax(got_totals)), int(np.argmax(totals))
+    assert (got_pos[g], got_cand[g]) == (pos[b], J[b])
+    assert_same_bits(got_totals[g], totals[b])
 
 
 @pytest.mark.parametrize("kind,make,seed", INSTANCES)
@@ -238,15 +256,19 @@ def test_block_totals_match_the_reference_kernel(kind, make, seed):
     for k in (2, 3, 7):
         state = make_state(mat, init_random(n, k, seed=seed))
         J = np.flatnonzero(~state.is_medoid)
-        for got, want in zip(fm.block_totals(state, J), reference_block_totals(state, J)):
+        acc, shared = fm.block_totals(state, J)
+        for got, want in zip((acc, shared), reference_block_totals(state, J)):
             assert_same_bits(got, want)
+        assert_best_positions_match(state, J, acc, shared)
 
 
 def test_block_totals_match_the_reference_kernel_at_scale():
     state = make_state(blob_grid(0), init_random(640, 20, seed=0))
     J = np.flatnonzero(~state.is_medoid)
-    for got, want in zip(fm.block_totals(state, J), reference_block_totals(state, J)):
+    acc, shared = fm.block_totals(state, J)
+    for got, want in zip((acc, shared), reference_block_totals(state, J)):
         assert_same_bits(got, want)
+    assert_best_positions_match(state, J, acc, shared)
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 20])
@@ -283,6 +305,7 @@ def test_block_totals_do_not_depend_on_the_block():
         sub_acc, sub_shared = fm.block_totals(state, part)
         assert np.array_equal(sub_acc, acc[rows])
         assert np.array_equal(sub_shared, shared[rows])
+        assert_best_positions_match(state, part, sub_acc, sub_shared)
 
 
 def test_blocks_smaller_than_the_candidate_list(monkeypatch):

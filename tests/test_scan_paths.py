@@ -1,9 +1,12 @@
 """The scan kernel's and the optimizers' equivalences on both scan paths.
 
 Each test imported or wrapped here runs once per ``scan_path``: with the
-compiled kernel of ``_scan.c``, and with the numpy body of
-``fastmsc.block_totals``, which is the kernel's fallback and its
-reference. In its own module the same test runs on whichever path loads.
+compiled kernels of ``_scan.c`` (``best_swap``, ``eager_next`` and
+``rescan``), and with numpy (``fastmsc.block_totals`` and its block loops),
+which is their fallback and their reference. In its own module the same
+test runs on whichever path loads. ``block_totals`` itself runs in numpy
+on both paths; its tests also hold each path's ``_best_positions`` to its
+totals.
 """
 
 import importlib
