@@ -1,19 +1,18 @@
-/* The swap-candidate scan of msclust.fastmsc, in C: best_swap, one share
-   of fastmsc.find_best_swap's steepest pass; the neighbour rescan of
-   fastmsc._rescan; eager_next, the loop of fastmsc._fastermsc_state, one
-   candidate at a time; and parse_csv, the strict CSV reader of
-   core._parse_csv_rows. best_swap and eager_next score each candidate row
-   by score_row, which computes one row of fastmsc.block_totals.
+/* The swap-candidate scan of msclust.fastmsc, in C, on one struct state:
+   best_swap, one share of fastmsc.find_best_swap's steepest pass; the
+   neighbour rescan of fastmsc._rescan; eager_next, the loop of
+   fastmsc._fastermsc_state, one candidate at a time. Also parse_csv, the
+   strict CSV reader of core._parse_csv_rows. best_swap and eager_next
+   score each candidate row by score_row, one row of fastmsc.block_totals.
 
    Each does the float64 operations of the numpy body in the same order, so
    it returns the same bits: each candidate row's near points (d(o, j) <
    d3(o)) in index order, the n1 and n2 bins summed apart from 0.0 as
    np.bincount sums them and then added as (removal_loss + B1) + B2, every
    ratio as x / max(b, TINY), and inner as a 0/1 factor. A row's near
-   points are first compacted, without a branch, into an index buffer that
-   the caller owns (fastmsc.make_state allocates it), and no function here
-   allocates. Build it with cc -O2 -ffp-contract=off -fPIC -shared: a fused
-   multiply-add or -ffast-math would change the bits. */
+   points are first compacted, without a branch, into the state's idx, and
+   no function here allocates. Build it with cc -O2 -ffp-contract=off -fPIC
+   -shared: a fused multiply-add or -ffast-math would change the bits. */
 
 #include <math.h>
 #include <stddef.h>
@@ -22,6 +21,20 @@
 #include <string.h>
 
 #define TINY 0x1p-1074 /* the smallest positive float64 */
+
+/* An optimiser state: n, its arrays, then eager_next's progress. cscan.State
+   has the same pointer-sized fields in the same order, so neither pads. */
+struct state {
+    ptrdiff_t n;
+    ptrdiff_t *n1, *n2;
+    const double *matrix;
+    double *d1, *d2, *d3, *r12, *r13, *r23, *removal_loss;
+    const ptrdiff_t *medoids;
+    double *work;
+    const unsigned char *is_medoid;
+    ptrdiff_t *idx;
+    ptrdiff_t j, visited, passes, last_pass, kept, position, candidate, scored, budget;
+};
 
 static double ratio(double a, double b)
 {
@@ -39,26 +52,28 @@ static double pick(int c, double a, double b)
     return a;
 }
 
-/* The accumulators of candidate row `row`, (removal_loss + its n1 bins) +
-   its n2 bins, into b1 (k doubles; b2 holds the n2 bins); returns its
-   shared gain. The row's near points go first to idx (n intp) without a
-   branch, then one loop scores them in index order, taking each ratio's
-   operands by pick: the comparisons with d1 and d2 are as likely true as
-   false, and a mispredicted branch costs more than the arithmetic. */
-static double score_row(ptrdiff_t n, ptrdiff_t k, const double *row, const ptrdiff_t *n1,
-                        const ptrdiff_t *n2, const double *d1, const double *d2,
-                        const double *d3, const double *r12, const double *r13,
-                        const double *r23, const double *removal_loss,
-                        ptrdiff_t *restrict idx, double *restrict b1, double *restrict b2)
+/* The accumulators of candidate j, (removal_loss + its n1 bins) + its n2
+   bins, into b1, the first k doubles of work (b2, the next k, holds the n2
+   bins); returns its shared gain. The row's near points go first to idx
+   without a branch, then one loop, over locals that no store here can
+   change, scores them in index order, taking each ratio's operands by
+   pick: the comparisons with d1 and d2 are as likely true as false, and a
+   mispredicted branch costs more than the arithmetic. */
+static double score_row(const struct state *s, ptrdiff_t k, ptrdiff_t j)
 {
-    ptrdiff_t near = 0;
+    const ptrdiff_t n = s->n, *restrict n1 = s->n1, *restrict n2 = s->n2;
+    const double *restrict d1 = s->d1, *restrict d2 = s->d2, *restrict d3 = s->d3;
+    const double *restrict r12 = s->r12, *restrict r13 = s->r13, *restrict r23 = s->r23;
+    const double *restrict row = s->matrix + j * n;
+    double *restrict b1 = s->work, *restrict b2 = s->work + k;
+    ptrdiff_t *restrict idx = s->idx, near = 0;
     for (ptrdiff_t p = 0; p < n; p++) {
         idx[near] = p;
         near += row[p] < d3[p];
     }
     for (ptrdiff_t i = 0; i < k; i++)
         b1[i] = b2[i] = 0.0;
-    double s = 0.0;
+    double sum = 0.0;
     for (ptrdiff_t c = 0; c < near; c++) {
         ptrdiff_t p = idx[c];
         double dv = row[p], e1 = d1[p], e2 = d2[p];
@@ -69,11 +84,11 @@ static double score_row(ptrdiff_t n, ptrdiff_t k, const double *row, const ptrdi
         double lost = ratio(pick(in, e1 + dv, e2), pick(in, e2, dv));
         b1[n1[p]] += (inner * r1v + r23[p]) - lost;
         b2[n2[p]] += r13[p] - pick(in, r12[p], r1v);
-        s += inner * (r12[p] - r1v);
+        sum += inner * (r12[p] - r1v);
     }
     for (ptrdiff_t i = 0; i < k; i++)
-        b1[i] = (removal_loss[i] + b1[i]) + b2[i];
-    return s;
+        b1[i] = (s->removal_loss[i] + b1[i]) + b2[i];
+    return sum;
 }
 
 /* np.argmax over the k doubles acc: the first maximum, or the first NaN. */
@@ -90,27 +105,21 @@ static ptrdiff_t first_best(const double *acc, ptrdiff_t k)
    each row's best position (first_best of its totals without the shared
    gain) and total, acc + shared in fastmsc.block_totals' terms. Returns
    r k + i for the first best total over J in order, np.argmax's rule, at
-   position i of candidate J[r], and writes that total to work[2 k]; work
-   holds 2 k + 1 doubles, idx n intp. */
-ptrdiff_t best_swap(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const ptrdiff_t *J,
-                    const ptrdiff_t *n1, const ptrdiff_t *n2, const double *matrix,
-                    const double *d1, const double *d2, const double *d3, const double *r12,
-                    const double *r13, const double *r23, const double *removal_loss,
-                    ptrdiff_t *idx, double *restrict work)
+   position i of candidate J[r], and writes that total to work[2 k]. */
+ptrdiff_t best_swap(const struct state *s, ptrdiff_t k, ptrdiff_t m, const ptrdiff_t *J)
 {
-    double *b1 = work, *b2 = work + k, best = 0.0;
+    double best = 0.0;
     ptrdiff_t found = 0;
     for (ptrdiff_t r = 0; r < m; r++) {
-        double s = score_row(n, k, matrix + J[r] * n, n1, n2, d1, d2, d3, r12, r13, r23,
-                             removal_loss, idx, b1, b2);
-        ptrdiff_t i = first_best(b1, k);
-        double total = b1[i] + s;
+        double sum = score_row(s, k, J[r]);
+        ptrdiff_t i = first_best(s->work, k);
+        double total = s->work[i] + sum;
         if (r == 0 || total > best || (total != total && best == best)) {
             best = total;
             found = r * k + i;
         }
     }
-    work[2 * k] = best;
+    s->work[2 * k] = best;
     return found;
 }
 
@@ -118,13 +127,14 @@ ptrdiff_t best_swap(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const ptrdiff_t *J,
    point's first minimum over its medoid distances, the first minimum of
    the rest, and the minimum of what is left (+inf at k = 2, and +0.0 for
    a zero of either sign), then its three ratios; then removal_loss summed
-   over all n points in index order, as B1 + B2. work holds k doubles.
-   Returns -1, having written nothing, if an index is out of range. */
-ptrdiff_t rescan(ptrdiff_t n, ptrdiff_t k, ptrdiff_t count, const ptrdiff_t *idx,
-                 ptrdiff_t *n1, ptrdiff_t *n2, const double *matrix, double *d1, double *d2,
-                 double *d3, double *r12, double *r13, double *r23, double *removal_loss,
-                 const ptrdiff_t *medoids, double *work)
+   over all n points in index order, as B1 + B2, B2 in work. Returns -1,
+   having written nothing, if an index is out of range. */
+ptrdiff_t rescan(const struct state *s, ptrdiff_t k, ptrdiff_t count, const ptrdiff_t *idx)
 {
+    const ptrdiff_t n = s->n, *medoids = s->medoids;
+    ptrdiff_t *n1 = s->n1, *n2 = s->n2;
+    double *d1 = s->d1, *d2 = s->d2, *d3 = s->d3, *r12 = s->r12, *r13 = s->r13, *r23 = s->r23;
+    double *removal_loss = s->removal_loss, *work = s->work;
     for (ptrdiff_t c = 0; c < count; c++)
         if (idx[c] < 0 || idx[c] >= n)
             return -1;
@@ -133,7 +143,7 @@ ptrdiff_t rescan(ptrdiff_t n, ptrdiff_t k, ptrdiff_t count, const ptrdiff_t *idx
             return -1;
     for (ptrdiff_t c = 0; c < count; c++) {
         ptrdiff_t p = idx[c], a = 0, b = 0;
-        const double *row = matrix + p * n;
+        const double *row = s->matrix + p * n;
         for (ptrdiff_t i = 1; i < k; i++)
             if (row[medoids[i]] < row[medoids[a]])
                 a = i;
@@ -167,33 +177,28 @@ ptrdiff_t rescan(ptrdiff_t n, ptrdiff_t k, ptrdiff_t count, const ptrdiff_t *idx
     return 0;
 }
 
-/* The fields of eager_next's state vector, and what it returns. */
-enum { J0, VISITED, PASSES, LAST_PASS, KEPT, POSITION, CANDIDATE, SCORED, BUDGET };
+/* What eager_next returns. */
 enum { CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED };
 
 /* fastmsc._fastermsc_state's loop, one candidate at a time, resumed from
-   the state vector st: the next position J0, VISITED positions since the
-   last swap, and PASSES started of LAST_PASS. The caller sets KEPT after
-   keeping the swap of CANDIDATE; SCORED counts the rows scored here, each
-   by score_row into work (2 k doubles). It returns
-   - IMPROVES: CANDIDATE at POSITION totals above eps; the caller tries
+   s: the next position j, the positions visited since the last swap, and
+   the passes started of last_pass. The caller sets kept after keeping the
+   swap of candidate; scored counts the rows scored here, each by
+   score_row into work. It returns
+   - IMPROVES: candidate at position totals above eps; the caller tries
      that swap with the fresh sum;
-   - ONE_CANDIDATE: CANDIDATE is the run's first (CANDIDATE was -1), which
-     the caller scores;
-   - PAUSED: the next row would take this call past BUDGET distances;
+   - ONE_CANDIDATE: candidate is the run's first (candidate was -1),
+     which the caller scores;
+   - PAUSED: the next row would take this call past budget distances;
    - CONVERGED or OUT_OF_PASSES: the run is over. */
-ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
-                     const ptrdiff_t *n2, const double *matrix, const double *d1,
-                     const double *d2, const double *d3, const double *r12, const double *r13,
-                     const double *r23, const double *removal_loss,
-                     const unsigned char *is_medoid, ptrdiff_t *idx, ptrdiff_t *st,
-                     double *work)
+ptrdiff_t eager_next(struct state *s, ptrdiff_t k, double eps)
 {
-    ptrdiff_t j = st[J0], visited = st[VISITED], distances = 0, code;
-    if (st[KEPT]) {
-        st[KEPT] = 0;
+    const ptrdiff_t n = s->n;
+    ptrdiff_t j = s->j, visited = s->visited, distances = 0, code;
+    if (s->kept) {
+        s->kept = 0;
         visited = 1;
-        j = st[CANDIDATE] + 1;
+        j = s->candidate + 1;
     }
     for (;; j++, visited++) {
         if (visited >= n) {
@@ -201,38 +206,37 @@ ptrdiff_t eager_next(ptrdiff_t n, ptrdiff_t k, double eps, const ptrdiff_t *n1,
             break;
         }
         if (j == n) {
-            if (st[PASSES] >= st[LAST_PASS]) {
+            if (s->passes >= s->last_pass) {
                 code = OUT_OF_PASSES;
                 break;
             }
-            st[PASSES]++;
+            s->passes++;
             j = 0;
         }
-        if (is_medoid[j])
+        if (s->is_medoid[j])
             continue;
-        if (st[CANDIDATE] < 0) {
+        if (s->candidate < 0) {
             code = ONE_CANDIDATE;
         } else {
-            if (distances > 0 && distances + n > st[BUDGET]) {
+            if (distances > 0 && distances + n > s->budget) {
                 code = PAUSED; /* the next call scores this row */
                 break;
             }
-            double s = score_row(n, k, matrix + j * n, n1, n2, d1, d2, d3, r12, r13, r23,
-                                 removal_loss, idx, work, work + k);
-            ptrdiff_t i = first_best(work, k);
-            st[SCORED]++;
+            double sum = score_row(s, k, j);
+            ptrdiff_t i = first_best(s->work, k);
+            s->scored++;
             distances += n;
-            if (!(work[i] + s > eps))
+            if (!(s->work[i] + sum > eps))
                 continue;
-            st[POSITION] = i;
+            s->position = i;
             code = IMPROVES;
         }
-        st[CANDIDATE] = j++;
+        s->candidate = j++;
         visited++;
         break;
     }
-    st[J0] = j;
-    st[VISITED] = visited;
+    s->j = j;
+    s->visited = visited;
     return code;
 }
 

@@ -12,7 +12,7 @@ cached library that does not load is built once more. Any other failure
 that does not load) gives None: fastmsc scores with numpy, and core
 reads every CSV token by token. ``core.compiled`` is the one owner of the
 loaded library: it calls ``load`` once per process, and ``make_state``
-asks it once per optimiser state.
+asks it once per optimiser state and fills that state's ``State``.
 """
 
 from __future__ import annotations
@@ -34,11 +34,22 @@ FLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-falign-loops=32",
 COMPILE_SECONDS = 30.0
 
 
+class State(ctypes.Structure):
+    """struct state of _scan.c, field for field: n, the addresses of an
+    optimiser state's C-ordered arrays, then eager_next's progress."""
+
+    _fields_ = [("n", ctypes.c_ssize_t)]
+    _fields_ += [(name, ctypes.c_void_p) for name in (
+        "n1 n2 matrix d1 d2 d3 r12 r13 r23 removal_loss medoids work is_medoid idx".split())]
+    _fields_ += [(name, ctypes.c_ssize_t) for name in (
+        "j visited passes last_pass kept position candidate scored budget".split())]
+
+
 def load():
     """The library as a ctypes.CDLL with its best_swap, rescan, eager_next
-    and parse_csv typed, or None if it cannot be built or loaded. Every
-    array argument is the address of a C-ordered array; _scan.c gives their
-    types."""
+    and parse_csv typed, or None if it cannot be built or loaded. Each
+    array argument is a State or a C-ordered array's address, typed in
+    _scan.c."""
     try:
         source = SOURCE.read_bytes()
         key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
@@ -54,13 +65,13 @@ def load():
             path.unlink(missing_ok=True)
             _build(path)
             library = ctypes.CDLL(str(path))
-        ssize, address = ctypes.c_ssize_t, ctypes.c_void_p
+        ssize, address, state = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.POINTER(State)
         library.best_swap.restype = ssize
-        library.best_swap.argtypes = [ssize] * 3 + [address] * 13
+        library.best_swap.argtypes = [state, ssize, ssize, address]
         library.rescan.restype = ssize
-        library.rescan.argtypes = [ssize] * 3 + [address] * 13
+        library.rescan.argtypes = [state, ssize, ssize, address]
         library.eager_next.restype = ssize
-        library.eager_next.argtypes = [ssize, ssize, ctypes.c_double] + [address] * 14
+        library.eager_next.argtypes = [state, ssize, ctypes.c_double]
         library.parse_csv.restype = ssize
         library.parse_csv.argtypes = [address, ssize, address, address]
     except (OSError, AttributeError):

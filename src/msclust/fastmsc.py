@@ -22,19 +22,12 @@ The key pieces:
   same bits: an eager block or swap pays more for its 40-odd calls than
   for its arithmetic. A block holds at most ``core.SCAN_BUDGET``
   = 2**15 distances, so each of its temporaries is at most 256 KiB
-  whatever n is. Together they exceed glibc's trim threshold (128 KiB,
-  or twice the largest freed mmapped chunk once it adapts), so the heap
-  a block frees would go back to the system and be faulted in again by
-  the next block; ``cli.main`` raises both thresholds at start. On a C
-  state it scores only each eager run's first candidate; ``score_row`` of
-  ``_scan.c`` gives every other row the same bits, and this body is its
-  fallback and its reference.
+  whatever n is, and ``cli.main`` keeps glibc from trimming them between
+  blocks. It is the reference of ``score_row`` in ``_scan.c``.
 * ``find_best_swap``: one O((n-k) n) pass, then one argmax. A fork and
   its pickle cost 4-5 ms, so ``workers`` split only a pass from
-  2 * ``SHARE_DISTANCES`` distances (n near 1,450). Numpy scores a share
-  in blocks; on a C state one ``best_swap`` call of ``_scan.c`` scores the
-  share and returns its first best swap, and the first best over the
-  shares in order is the pass's.
+  2 * ``SHARE_DISTANCES`` distances (n near 1,450). On a C state one
+  ``best_swap`` call of ``_scan.c`` scores a share.
 * ``_swap_if_sum_rises``: a scored swap is kept and counted only if the
   fresh ``ams_sum`` rises by more than ``EPS_GAIN`` (pammedsil's rule),
   else it is swapped back. The scan totals round differently, and from n
@@ -43,10 +36,8 @@ The key pieces:
 * ``fastmsc``: steepest descent, each swap one ``update_caches_after_swap``
   call; identical to the naive pammedsil under the shared tie-breaks.
 * ``fastermsc``: eager first-descent variant that applies every
-  improving swap immediately while cycling over candidates. Numpy scores
-  them in blocks that give the swap sequence of scoring one candidate at
-  a time (``_fastermsc_state``); on a C state ``eager_next`` of
-  ``_scan.c`` scores one candidate at a time, all but each run's first.
+  improving swap immediately while cycling over candidates; numpy scores
+  them in blocks, and ``eager_next`` of ``_scan.c`` one at a time.
 
 All delta values are gains in the unnormalized silhouette sum; division
 by n happens only at reporting boundaries. The scalar per-point delta
@@ -80,9 +71,7 @@ SHARE_DISTANCES = 2**20
 # the distances that eager_next scores before it returns, so that Python sees
 # an interrupt within milliseconds
 EAGER_DISTANCES = 2**22
-# the fields of eager_next's state vector that Python reads or sets, and its
-# return codes, as _scan.c numbers them
-PASSES, KEPT, POSITION, CANDIDATE, SCORED = 2, 4, 5, 6, 7
+# eager_next's return codes, as _scan.c numbers them
 CONVERGED, OUT_OF_PASSES, IMPROVES, ONE_CANDIDATE, PAUSED = range(5)
 
 
@@ -103,7 +92,7 @@ class OptimizerState:
     r23: np.ndarray = field(repr=False)
     work: np.ndarray = field(repr=False)  # 2 k + 1 doubles for the C rescan and best_swap
     idx: np.ndarray = field(repr=False)  # n intp for the near points of a C-scored row
-    addresses: tuple | None = field(repr=False)  # see make_state
+    addresses: tuple | None = field(repr=False)  # (library, cscan.State): see make_state
     swaps: int = 0
     iterations: int = 0
 
@@ -123,11 +112,11 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
 
     Only here are the state's arrays allocated, C-ordered in the dtypes
     that _scan.c reads; every later operation writes them in place. So
-    the table for C is taken once: (the library of core.compiled; n1, n2,
-    matrix, d1, d2, d3, r12, r13, r23 and removal_loss in best_swap's
-    order; medoids; work; is_medoid; idx). It is None, and numpy scores the
-    state for its whole life, where the library did not load or the
-    matrix is not C-ordered float64 (a Fortran-ordered or strided view).
+    their addresses fill a cscan.State once, by field name: addresses is
+    (the library of core.compiled, that State). It is None, and numpy
+    scores the state for its whole life, where the library did not load
+    or the matrix is not C-ordered float64 (a Fortran-ordered or strided
+    view).
     """
     medoids = check_medoids(medoids, len(matrix))
     n, k = len(matrix), len(medoids)
@@ -139,9 +128,12 @@ def make_state(matrix: np.ndarray, medoids) -> OptimizerState:
     idx = np.empty(n, dtype=np.intp)
     library, addresses = compiled(), None
     if library is not None and matrix.dtype == np.float64 and matrix.flags.c_contiguous:
-        scan = (c.n1, c.n2, matrix, c.d1, c.d2, c.d3, r12, r13, r23, removal_loss)
-        addresses = (library, tuple(a.ctypes.data for a in scan), medoids.ctypes.data,
-                     work.ctypes.data, is_medoid.ctypes.data, idx.ctypes.data)
+        from .cscan import State
+
+        arrays = dict(n1=c.n1, n2=c.n2, matrix=matrix, d1=c.d1, d2=c.d2, d3=c.d3, r12=r12,
+                      r13=r13, r23=r23, removal_loss=removal_loss, medoids=medoids, work=work,
+                      is_medoid=is_medoid, idx=idx)
+        addresses = (library, State(n=n, **{name: a.ctypes.data for name, a in arrays.items()}))
     state = OptimizerState(matrix, medoids, is_medoid, c, removal_loss, r12, r13, r23, work,
                            idx, addresses)
     _refresh_derived(state)
@@ -207,13 +199,6 @@ def _kernel_reads(a: np.ndarray) -> bool:
     return a.dtype == np.intp and a.ndim == 1 and a.flags.c_contiguous
 
 
-def _compiled_reads(state: OptimizerState, J: np.ndarray) -> bool:
-    """Whether C scores the candidates J: the state has a table for C, and J
-    is a C-ordered intp vector of rows in range."""
-    return (state.addresses is not None and _kernel_reads(J)
-            and (len(J) == 0 or 0 <= J.min() <= J.max() < len(state.matrix)))
-
-
 def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
     """block_totals for the single candidate j: (acc[k], shared)."""
     acc, shared = block_totals(state, np.array([j]))
@@ -223,14 +208,15 @@ def candidate_totals(state: OptimizerState, j: int) -> tuple[np.ndarray, float]:
 def _best_positions(state: OptimizerState, J: np.ndarray) -> tuple[np.ndarray, ...]:
     """(positions, candidates, totals): each candidate in J with its best
     medoid position (the first argmax; the shared gain is constant across
-    positions) and its total gain. Where C scores J, one candidate or
-    many, only the first best of J, the one np.argmax over the totals
+    positions) and its total gain. Where C scores J, one candidate or many
+    (the state has a cscan.State, and J is a C-ordered intp vector of rows
+    in range), only the first best of J, the one np.argmax over the totals
     picks, from one best_swap call of _scan.c."""
-    if _compiled_reads(state, J):
-        library, scan, _, work, _, idx = state.addresses
+    if (state.addresses is not None and _kernel_reads(J)
+            and (len(J) == 0 or 0 <= J.min() <= J.max() < len(state.matrix))):
+        library, table = state.addresses
         k = state.k
-        r, i = divmod(library.best_swap(len(state.matrix), len(J), k, J.ctypes.data, *scan,
-                                        idx, work), k)
+        r, i = divmod(library.best_swap(table, k, len(J), J.ctypes.data), k)
         return np.array([i]), J[r:r + 1], np.array([state.work[2 * k]])
     if len(J) == 1:
         # the one-row entry point, so that per-candidate instrumentation of
@@ -304,12 +290,11 @@ def _swap_if_sum_rises(state: OptimizerState, position: int, replacement: int,
 
 def _rescan(state: OptimizerState, idx: np.ndarray) -> None:
     """Recompute the neighbor records of the points in idx, then what is
-    derived from the cache: by rescan of _scan.c on a state with a table
-    for C, else with numpy, in place and in the same bits."""
+    derived from the cache: by rescan of _scan.c on a state with a
+    cscan.State, else with numpy, in place and in the same bits."""
     if state.addresses is not None and _kernel_reads(idx):
-        library, scan, medoids, work, _, _ = state.addresses
-        if library.rescan(len(state.matrix), state.k, len(idx), idx.ctypes.data, *scan,
-                          medoids, work) == 0:
+        library, table = state.addresses
+        if library.rescan(table, state.k, len(idx), idx.ctypes.data) == 0:
             return
     t = top3(state.matrix[idx[:, None], state.medoids])
     c = state.cache
@@ -364,7 +349,7 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     """Run eager swapping on an existing (warm) state. Returns True on
     convergence, False when the pass budget ran out.
 
-    On a state with a table for C, _eager_compiled runs the loop in C,
+    On a state with a cscan.State, _eager_compiled runs the loop in C,
     one candidate at a time. The loop below is its fallback and its
     reference, and makes the same swaps in blocks, which spread its 40-odd
     numpy calls a block over many candidates.
@@ -386,11 +371,11 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
     # C counts passes in intp; no run makes 2**30 of them
     last_pass = state.iterations + min(max(max_iter, 0), 2**30)
     if state.addresses is not None:
-        # eager_next's state vector, in _scan.c's order: j = n, visited = 0,
-        # passes, last_pass, kept, position, candidate = -1 (none yet),
-        # scored, budget
-        return _eager_compiled(state, np.array(
-            [n, 0, state.iterations, last_pass, 0, 0, -1, 0, EAGER_DISTANCES], dtype=np.intp))
+        # eager_next's fields: at the end of a pass, no candidate yet (-1)
+        table = state.addresses[1]
+        table.j, table.visited, table.passes, table.last_pass = n, 0, state.iterations, last_pass
+        table.kept, table.candidate, table.scored, table.budget = 0, -1, 0, EAGER_DISTANCES
+        return _eager_compiled(state)
     cap = block_rows(n)
     resume = max(1, cap // 8)
     current = state.ams_sum
@@ -423,34 +408,33 @@ def _fastermsc_state(state: OptimizerState, max_iter: int) -> bool:
         j = int(J[h]) + 1
 
 
-def _eager_compiled(state: OptimizerState, machine: np.ndarray) -> bool:
+def _eager_compiled(state: OptimizerState) -> bool:
     """_fastermsc_state's loop as eager_next of _scan.c, which resumes from
-    the state vector machine and scores one candidate at a time. It
-    returns here with a candidate whose total exceeds EPS_GAIN, which
-    _swap_if_sum_rises keeps or undoes with the fresh sum; with the run's
-    first candidate, the only one of a C state that numpy scores (in
-    candidate_totals, with C's bits): on a C host it is the call that
-    perfbench/test_perfbench.py::test_tracer_hooks_every_layer needs to
-    see; after EAGER_DISTANCES distances, so that an interrupt is seen;
-    and at the end of the run."""
-    n, k = len(state.matrix), state.k
-    library, scan, _, work, is_medoid, idx = state.addresses
-    st = machine.ctypes.data
+    the eager fields of the state's cscan.State and scores one candidate
+    at a time. It returns here with a candidate whose total exceeds
+    EPS_GAIN, which _swap_if_sum_rises keeps or undoes with the fresh sum;
+    with the run's first candidate, the only one of a C state that numpy
+    scores (in candidate_totals, with C's bits), so that on a C host
+    perfbench/test_perfbench.py::test_tracer_hooks_every_layer sees a call;
+    after EAGER_DISTANCES distances, so that an interrupt is seen; and at
+    the end of the run."""
+    library, table = state.addresses
+    k = state.k
     current = state.ams_sum
     while True:
-        code = library.eager_next(n, k, EPS_GAIN, *scan, is_medoid, idx, st, work)
-        state.iterations = int(machine[PASSES])
+        code = library.eager_next(table, k, EPS_GAIN)
+        state.iterations = table.passes
         if code in (CONVERGED, OUT_OF_PASSES):
             return code == CONVERGED
         if code == PAUSED:
             continue
-        position = machine[POSITION]
+        position = table.position
         if code == ONE_CANDIDATE:
-            acc, shared = candidate_totals(state, int(machine[CANDIDATE]))
+            acc, shared = candidate_totals(state, table.candidate)
             position = acc.argmax()
             if not acc[position] + shared > EPS_GAIN:
                 continue
-        after = _swap_if_sum_rises(state, int(position), int(machine[CANDIDATE]), current)
+        after = _swap_if_sum_rises(state, int(position), table.candidate, current)
         if after is not None:
             current = after
-            machine[KEPT] = 1
+            table.kept = 1

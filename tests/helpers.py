@@ -90,7 +90,7 @@ REFUSING = types.SimpleNamespace(**dict.fromkeys(C_FUNCTIONS, refuse))
 def scan_on(path, kernel=None):
     """Inside the block, core.compiled gives the "compiled" path a counting
     stand-in for kernel, and the "numpy" path None; there the gates to C
-    refuse, so a state that holds a table for C, even one made before the
+    refuse, so a state that holds a cscan.State, even one made before the
     block, fails the test. Yields the counts of the C calls."""
     calls = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:

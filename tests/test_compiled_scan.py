@@ -359,24 +359,25 @@ def test_the_c_rescan_gives_the_numpy_bits(kernel, inputs, data):
 
 
 def addresses(state):
-    """The addresses that the state's arrays have now, in the order of the
-    table for C that make_state takes."""
+    """The addresses that the state's arrays have now, by the name of the
+    field of cscan.State that holds each."""
     c = state.cache
-    scan = (c.n1, c.n2, state.matrix, c.d1, c.d2, c.d3, state.r12, state.r13, state.r23,
-            state.removal_loss)
-    return (tuple(a.ctypes.data for a in scan), state.medoids.ctypes.data,
-            state.work.ctypes.data, state.is_medoid.ctypes.data, state.idx.ctypes.data)
+    arrays = dict(n1=c.n1, n2=c.n2, matrix=state.matrix, d1=c.d1, d2=c.d2, d3=c.d3,
+                  r12=state.r12, r13=state.r13, r23=state.r23,
+                  removal_loss=state.removal_loss, medoids=state.medoids, work=state.work,
+                  is_medoid=state.is_medoid, idx=state.idx)
+    return {name: a.ctypes.data for name, a in arrays.items()}
 
 
 @settings(deadline=None, max_examples=100)
 @given(eager_inputs(), st.booleans(), st.data())
 def test_the_address_table_stays_live(kernel, inputs, read_only, data):
-    # make_state allocates every array, and on the compiled path takes their
-    # table for C once; a swap kept or undone, a full rescan, every removal
-    # down to k = 2, a steepest pass after them (best_swap's work and index
-    # buffers were sized at the first k and n) and the optimizers' runs must
-    # write the same buffers on both paths. A read-only matrix is still
-    # scored by C.
+    # make_state allocates every array, and on the compiled path fills its
+    # cscan.State with their addresses once; a swap kept or undone, a full
+    # rescan, every removal down to k = 2, a steepest pass after them
+    # (best_swap's work and index buffers were sized at the first k and n)
+    # and the optimizers' runs must write the same buffers on both paths. A
+    # read-only matrix is still scored by C.
     matrix, m0 = inputs
     matrix.flags.writeable = not read_only
     n, k = len(matrix), len(m0)
@@ -392,12 +393,17 @@ def test_the_address_table_stays_live(kernel, inputs, read_only, data):
             return states[-1]
 
         def live(state):
-            assert addresses(state) == taken[id(state)]
-            assert (state.addresses is None if path == "numpy"
-                    else state.addresses[1:] == taken[id(state)])
+            want = taken[id(state)]
+            assert addresses(state) == want
+            if path == "numpy":
+                assert state.addresses is None
+            else:  # each field read by name
+                table = state.addresses[1]
+                assert table.n == len(state.matrix)
+                assert {name: getattr(table, name) for name in want} == want
 
         def checked(call):
-            """call, a rescan or a scan, after asserting the table: a stale
+            """call, a rescan or a scan, after asserting the struct: a stale
             address fails here, before C reads it."""
             def wrapper(state, idx):
                 live(state)
@@ -434,22 +440,22 @@ def test_the_eager_loop_returns_once_per_distance_budget(kernel, monkeypatch):
     m0 = init_random(len(matrix), 20, seed=3)
     monkeypatch.setattr(core, "_library", kernel)
     expected = fields(fastermsc(matrix, m0))
-    machines = []
-    compiled = fm._eager_compiled
+    states = []
+    make_state = fm.make_state
 
-    def kept_machine(state, machine):
-        machines.append(machine)
-        return compiled(state, machine)
+    def kept_state(*args):
+        states.append(make_state(*args))
+        return states[-1]
 
     calls = collections.Counter()
     budget = 100 * len(matrix)  # a hundred rows a call
-    monkeypatch.setattr(fm, "_eager_compiled", kept_machine)
+    monkeypatch.setattr(fm, "make_state", kept_state)
     monkeypatch.setattr(core, "_library", counting(kernel, calls))
     monkeypatch.setattr(fm, "EAGER_DISTANCES", budget)
     assert fields(fastermsc(matrix, m0)) == expected
-    (machine,), returns = machines, sum(calls[code] for code in range(5))
+    (state,), returns = states, sum(calls[code] for code in range(5))
     assert calls[fm.PAUSED] > 0
-    assert returns * budget >= machine[fm.SCORED] * len(matrix)
+    assert returns * budget >= state.addresses[1].scored * len(matrix)
 
 
 def fake_cc_on_path(tmp_path, monkeypatch, body):

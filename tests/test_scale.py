@@ -4,12 +4,14 @@ pammedsil's swaps. The property tests draw a few dozen points at most,
 while some defects, such as a duplicate's zero gain that the scan totals
 round above EPS_GAIN, show only from n near 2000. On the duplicate grid
 many candidates tie in every share of a split pass, so the first best
-across shares must win. Deterministic, and about 25 s on a 2-CPU box."""
+across shares must win. Also at scale: the numpy scan one row a block,
+as it runs from n = 16,385 on, and both CSV readers on a 1000 x 1000
+matrix. Deterministic, and about 30 s on a 2-CPU box."""
 
 import numpy as np
 import pytest
 
-from msclust import build_matrix, dynmsc, fastermsc, fastmsc, init_random
+from msclust import build_matrix, core, dynmsc, fastermsc, fastmsc, init_random
 from msclust.naive import pammedsil
 
 from helpers import assert_no_child_left, duplicate_grid, scan_on
@@ -83,3 +85,33 @@ def test_fastmsc_makes_pammedsil_swaps(kernel, steepest_starts, workers, forks):
         assert (len(forks) > 0) == (workers == 2)
         assert fields(fast) == want and fast.swaps == 2
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("data", ["uniform", "grid"])
+def test_one_row_a_block_makes_the_compiled_runs(kernel, data, monkeypatch):
+    # block_rows(n) = 1: each numpy block, steepest or eager, scores one row
+    n = 400
+    rng = np.random.default_rng(400)
+    matrix = (build_matrix(rng.random((n, 2))) if data == "uniform"
+              else build_matrix(rng.integers(0, 6, (n, 2)), metric="manhattan"))
+    monkeypatch.setattr(core, "SCAN_BUDGET", n)
+    assert core.block_rows(n) == 1
+    got = {}
+    for path in ("compiled", "numpy"):
+        with scan_on(path, kernel):
+            runs = [fastmsc(matrix, init_random(n, 8, seed=1)),
+                    fastermsc(matrix, init_random(n, 20, seed=2)),
+                    *dynmsc(matrix, k_max=20, seed=3).per_k.values()]
+        got[path] = [fields(r) for r in runs]
+    assert got["compiled"] == got["numpy"]
+
+
+def test_both_csv_readers_give_the_matrix_bits(kernel, tmp_path):
+    # np.savetxt's %.18e round-trips every float64
+    matrix = build_matrix(np.random.default_rng(1000).random((1000, 2)))
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, matrix, delimiter=",")
+    for reader in ("compiled", "numpy"):
+        with scan_on(reader, kernel) as calls:
+            assert core.load_matrix_csv(path).tobytes() == matrix.tobytes()
+        assert (calls["parse_csv"] == 2) == (reader == "compiled")

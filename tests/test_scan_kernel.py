@@ -153,13 +153,16 @@ def block_eager(state, max_iter, monkeypatch):
     many candidates it scores after the last one, each swap it undoes, and
     on the compiled path how many candidates it scores in all (None on the
     numpy path, which scores blocks). The compiled loop counts the rows it
-    scores in its state vector; the rows that Python scores pass through
-    block_totals, and on the compiled path that is the run's first
-    candidate alone."""
+    scores in the scored field of the state's cscan.State; the rows that
+    Python scores pass through block_totals, and on the compiled path that
+    is the run's first candidate alone."""
     made, undone = [], []
     tail, python_rows = [0], []
-    machines, scored_at_swap = [], [0]
-    try_swap, block_totals, compiled = fm._swap_if_sum_rises, fm.block_totals, fm._eager_compiled
+    scored_at_swap = [0]
+    try_swap, block_totals = fm._swap_if_sum_rises, fm.block_totals
+
+    def scored():
+        return state.addresses[1].scored
 
     def recording_swap(state, position, replacement, before):
         after = try_swap(state, position, replacement, before)
@@ -168,7 +171,7 @@ def block_eager(state, max_iter, monkeypatch):
         else:
             made.append((position, replacement))
             tail[0] = 0
-            scored_at_swap[0] = machines[0][fm.SCORED] if machines else 0
+            scored_at_swap[0] = 0 if state.addresses is None else scored()
         return after
 
     def counting_totals(state, J):
@@ -177,21 +180,15 @@ def block_eager(state, max_iter, monkeypatch):
         python_rows.append(len(J))
         return block_totals(state, J)
 
-    def kept_machine(state, machine):
-        machines.append(machine)
-        return compiled(state, machine)
-
     with monkeypatch.context() as mp:
         mp.setattr(fm, "_swap_if_sum_rises", recording_swap)
         mp.setattr(fm, "block_totals", counting_totals)
-        mp.setattr(fm, "_eager_compiled", kept_machine)
         converged = fm._fastermsc_state(state, max_iter)
-    if not machines:
+    if state.addresses is None:
         return converged, made, tail[0], undone, None
-    (machine,) = machines
-    tail[0] += machine[fm.SCORED] - scored_at_swap[0]
+    tail[0] += scored() - scored_at_swap[0]
     assert python_rows == [1]
-    return converged, made, tail[0], undone, machine[fm.SCORED] + sum(python_rows)
+    return converged, made, tail[0], undone, scored() + sum(python_rows)
 
 
 def tied_instance(n, seed):
